@@ -87,10 +87,7 @@ def _parse_pset_pair(text: str, rect: Rectangle) -> tuple[ParameterSet, Paramete
 
 
 def _rule_from(args) -> QuadratureRule:
-    return QuadratureRule(
-        order_per_panel=getattr(args, "order", 16) or 16,
-        panels=getattr(args, "panels", 8) or 8,
-    )
+    return QuadratureRule(order_per_panel=args.order, panels=args.panels)
 
 
 def _emit(text: str, path: str | None) -> None:

@@ -17,22 +17,27 @@ derivative-type operators and picks up a boundary contour term:
 with the contour taken counterclockwise.  Both checks report left side,
 area term, boundary term, and absolute/relative residuals.
 
-Implementation notes.  Convolution fields on the product grid are applied
-through the cached operator matrices of :mod:`genfrac.opmatrix`.  The
-area term's A-fields are evaluated through the exact difference-kernel
-splitting
+Implementation notes.  Area contractions apply the cached operator
+matrices of :mod:`genfrac.opmatrix`.  Every other term is an edge jump
+J(u, v; P, axis) = int [u (K_P v)]_{t=a}^{t=b} d(other axis), K_P acting
+along ``axis``; at t = a only the rightward half of K_P is live and at
+t = b only the leftward one, so each end is one convolution row.  The
+A-fields use the tested splitting A_P v = B_P v + p v(a) k(t-a) - q v(b) k(b-t)
+(differentiating numerically would lose the (t-a)**(-alpha) edge blow-up),
+and with P* = <a, b, q, p> its kernel terms are jumps too:
 
-    (A_P v)(t) = (B_P v)(t) + p v(a) k(t - a) - q v(b) k(b - t),
+    iint eta p* g(a) k(t1-a) = int g(a) [q int_a^b k(t1-a) eta dt1] dt2
+                             = int g(a) (K_{P1} eta)(a) dt2, likewise at b,
+    area = -iint eta (B_{P1*} g + B_{P2*} f) + J(g, eta; P1, 1) + J(f, eta; P2, 2).
 
-whose kernel terms are integrated by singularity-absorbing quadrature;
-differentiating the convolution numerically instead would lose the
-(t-a)**(-alpha) edge blow-up to quadrature error.  The splitting is an
-independently tested operator relation, not the identity under test.
+The four counterclockwise edges collapse to the same jumps taken on
+eta K_{P*}: boundary = J(eta, g; P1*, 1) + J(eta, f; P2*, 2).
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -47,10 +52,9 @@ from .quadrature import (
     QuadratureRule,
     Rectangle,
     composite_nodes,
-    contour_integral,
-    singular_nodes,
+    convolution_rows,
 )
-from .specfun import Kernel, KernelFamily, rl_family
+from .specfun import KernelFamily, rl_family
 
 __all__ = [
     "VerificationReport",
@@ -105,6 +109,11 @@ def _make_report(identity, lhs, rhs_area, rhs_boundary, alpha, kernel_label, pse
     rel_residual = abs_residual / max(
         abs(lhs), abs(rhs_area) + abs(rhs_boundary), _RESIDUAL_FLOOR
     )
+    if not all(map(math.isfinite, (lhs, rhs_area, rhs_boundary, abs_residual, rel_residual))):
+        raise NonFiniteSampleError(
+            f"{identity} check is non-finite: lhs={lhs!r}, rhs_area={rhs_area!r}, "
+            f"rhs_boundary={rhs_boundary!r}"
+        )
     return VerificationReport(
         identity=identity,
         lhs=lhs,
@@ -196,70 +205,20 @@ def verify_ibp_2d(
     )
 
 
-def _axis_trace(
-    kern: Kernel,
-    pset: ParameterSet,
-    rule: QuadratureRule,
-    operand,
-    axis: int,
-    active: np.ndarray,
-    frozen: np.ndarray,
-) -> np.ndarray:
-    """K-operator of a two-variable operand along one axis, at paired points.
-
-    ``active`` holds the coordinate the convolution runs over; ``frozen``
-    the other coordinate of each evaluation point.
-    """
-    out = np.zeros_like(active)
-    for side, weight in (("left", pset.p), ("right", pset.q)):
-        if weight == 0.0:
-            continue
-        L = active - pset.a if side == "left" else pset.b - active
-        m = L > 0.0
-        if not m.any():
-            continue
-        u, w = singular_nodes(kern, L[m], rule)
-        tau = active[m, None] - u if side == "left" else active[m, None] + u
-        oth = frozen[m, None]
-        vals = operand(tau, oth) if axis == 1 else operand(oth, tau)
-        vals = np.broadcast_to(np.asarray(vals, dtype=float), tau.shape)
-        out[m] += weight * np.sum(w * vals, axis=1)
-    return out
+def _samples(spec, axis: int, along: np.ndarray, cross: np.ndarray) -> np.ndarray:
+    """``spec`` at coordinate ``along`` on ``axis`` and ``cross`` on the other."""
+    return _grid(spec, along, cross) if axis == 1 else _grid(spec, cross, along).T
 
 
-def _weighted_kernel_moment(
-    kern: Kernel,
-    interval: tuple[float, float],
-    singular_at: str,
-    rule: QuadratureRule,
-    eta_fn,
-    axis: int,
-    cross_nodes: np.ndarray,
-    cross_weights: np.ndarray,
-    edge_values: np.ndarray,
-) -> float:
-    """iint over the rectangle of eta(t) * v(edge slice) * k(distance).
-
-    The kernel runs along ``axis`` with its singular endpoint at
-    ``singular_at``; ``edge_values`` holds the operand's trace on that
-    edge, sampled at ``cross_nodes`` of the other axis.
-    """
-    lo, hi = interval
-    u, w = singular_nodes(kern, hi - lo, rule)
-    u = u[0]
-    w = w[0]
-    tau = lo + u if singular_at == "lo" else hi - u
-    if axis == 1:
-        inner = w @ np.broadcast_to(
-            np.asarray(eta_fn(tau[:, None], cross_nodes[None, :]), dtype=float),
-            (tau.size, cross_nodes.size),
-        )
-    else:
-        inner = np.broadcast_to(
-            np.asarray(eta_fn(cross_nodes[:, None], tau[None, :]), dtype=float),
-            (cross_nodes.size, tau.size),
-        ) @ w
-    return float(np.dot(cross_weights, edge_values * inner))
+def _edge_jump(u, v, pset, kern, rule, axis, cross, cross_weights) -> float:
+    """int [u * (K_P v)]_{t=a}^{t=b} d(cross), with K_P acting along ``axis``."""
+    ends = np.array([pset.a, pset.b])
+    jump = np.zeros(cross.size)
+    for weight, live, tau, w in convolution_rows(pset, kern, ends, rule):
+        V = _samples(v, axis, tau.ravel(), cross).reshape(*tau.shape, cross.size)
+        Kv = weight * np.einsum("rm,rmc->rc", w, V)
+        jump += np.array([-1.0, 1.0])[live] @ (_samples(u, axis, ends[live], cross) * Kv)
+    return float(cross_weights @ jump)
 
 
 def verify_green(
@@ -301,39 +260,15 @@ def verify_green(
     lhs = float(wx @ (Gz * (K1 @ _grid(d1e, x, y)) + Fz * (_grid(d2e, x, y) @ K2.T)) @ wy)
 
     # RHS area: -iint eta * (A_{P1*} g + A_{P2*} f), with A = B + kernel
-    # boundary corrections (difference-kernel Leibniz rule).
+    # boundary corrections (difference-kernel Leibniz rule) as edge jumps.
     area = -float(wx @ (Ez * ((K1s @ _grid(d1g, x, y)) + (_grid(d2f, x, y) @ K2s.T))) @ wy)
-    if p1s.p != 0.0:
-        edge = np.broadcast_to(np.asarray(g.fn(np.full_like(y, rect.a1), y), float), y.shape)
-        area -= p1s.p * _weighted_kernel_moment(
-            kern, rect.axis1, "lo", rule, eta.fn, 1, y, wy, edge
-        )
-    if p1s.q != 0.0:
-        edge = np.broadcast_to(np.asarray(g.fn(np.full_like(y, rect.b1), y), float), y.shape)
-        area += p1s.q * _weighted_kernel_moment(
-            kern, rect.axis1, "hi", rule, eta.fn, 1, y, wy, edge
-        )
-    if p2s.p != 0.0:
-        edge = np.broadcast_to(np.asarray(f.fn(x, np.full_like(x, rect.a2)), float), x.shape)
-        area -= p2s.p * _weighted_kernel_moment(
-            kern, rect.axis2, "lo", rule, eta.fn, 2, x, wx, edge
-        )
-    if p2s.q != 0.0:
-        edge = np.broadcast_to(np.asarray(f.fn(x, np.full_like(x, rect.b2)), float), x.shape)
-        area += p2s.q * _weighted_kernel_moment(
-            kern, rect.axis2, "hi", rule, eta.fn, 2, x, wx, edge
-        )
+    area += _edge_jump(g, eta, p1, kern, rule, 1, y, wy)
+    area += _edge_jump(f, eta, p2, kern, rule, 2, x, wx)
 
     # Boundary: oint eta [(K_{P1*} g) dt2 - (K_{P2*} f) dt1], counterclockwise.
-    def Qfun(t1s, t2s):
-        trace = _axis_trace(kern, p1s, rule, g.fn, 1, np.asarray(t1s, float), np.asarray(t2s, float))
-        return np.asarray(eta.fn(t1s, t2s), dtype=float) * trace
-
-    def Pfun(t1s, t2s):
-        trace = _axis_trace(kern, p2s, rule, f.fn, 2, np.asarray(t2s, float), np.asarray(t1s, float))
-        return -np.asarray(eta.fn(t1s, t2s), dtype=float) * trace
-
-    boundary = contour_integral(Pfun, Qfun, rect, rule)
+    boundary = _edge_jump(eta, g, p1s, kern, rule, 1, y, wy) + _edge_jump(
+        eta, f, p2s, kern, rule, 2, x, wx
+    )
 
     if max(abs(lhs), abs(area), abs(boundary)) < 1e-12:
         warnings.warn(

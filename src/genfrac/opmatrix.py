@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .pset import ParameterSet
-from .quadrature import QuadratureRule, composite_nodes, singular_nodes
+from .quadrature import QuadratureRule, composite_nodes, convolution_rows
 from .specfun import Kernel
 
 __all__ = ["kop_matrix", "clear_matrix_cache"]
@@ -66,16 +66,8 @@ def _assemble(
     bws = [_bary_weights(mesh_nodes[ip * order : (ip + 1) * order]) for ip in range(npan)]
     idx_chunks: list[np.ndarray] = []
     val_chunks: list[np.ndarray] = []
-    for side, weight in (("left", pset.p), ("right", pset.q)):
-        if weight == 0.0:
-            continue
-        L = targets - pset.a if side == "left" else pset.b - targets
-        live = L > 0.0
-        if not live.any():
-            continue
-        u, w = singular_nodes(kernel, L[live], rule)
-        tau = targets[live, None] - u if side == "left" else targets[live, None] + u
-        rows = np.repeat(np.flatnonzero(live), u.shape[1])
+    for weight, live, tau, w in convolution_rows(pset, kernel, targets, rule):
+        rows = np.repeat(np.flatnonzero(live), tau.shape[1])
         tau_f = tau.ravel()
         w_f = weight * w.ravel()
         pan = np.clip(np.searchsorted(mesh_edges, tau_f, side="right") - 1, 0, npan - 1)
@@ -106,8 +98,8 @@ def kop_matrix(pset: ParameterSet, kernel: Kernel, rule: QuadratureRule) -> np.n
 
     The mesh is ``composite_nodes(pset.a, pset.b, rule)``; results are
     cached per (p-set, kernel identity, rule).  Kernels are identified by
-    (label, order, singularity exponent), so plug-in kernel families must
-    carry distinct labels.
+    (label, order, singularity exponent), so a kernel's label must name
+    its parameters exactly (the tempered kernel's holds ``repr(lam)``).
     """
     key = (pset.as_tuple(), kernel.cache_key, rule)
     M = _CACHE.get(key)

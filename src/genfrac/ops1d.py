@@ -26,7 +26,7 @@ import numpy as np
 
 from .funcspec import FuncSpec
 from .pset import ParameterSet
-from .quadrature import DEFAULT_RULE, NonFiniteSampleError, QuadratureRule, singular_nodes
+from .quadrature import DEFAULT_RULE, NonFiniteSampleError, QuadratureRule, convolution_rows
 from .specfun import Kernel, KernelFamily
 
 __all__ = ["OperatorRequest", "kop", "aop", "bop"]
@@ -75,20 +75,12 @@ def _convolve_many(
     """Weighted left+right kernel convolutions of f at many points at once."""
     ts = np.asarray(ts, dtype=float)
     out = np.zeros_like(ts)
-    for side, weight in (("left", pset.p), ("right", pset.q)):
-        if weight == 0.0:
-            continue
-        L = ts - pset.a if side == "left" else pset.b - ts
-        m = L > 0.0
-        if not m.any():
-            continue
-        u, w = singular_nodes(kernel, L[m], rule)
-        tau = ts[m, None] - u if side == "left" else ts[m, None] + u
+    for weight, live, tau, w in convolution_rows(pset, kernel, ts, rule):
         vals = np.broadcast_to(np.asarray(f(tau), dtype=float), tau.shape)
         if not np.all(np.isfinite(vals)):
             bad = tau[~np.isfinite(vals)][0]
             raise NonFiniteSampleError(f"operand non-finite at tau={bad!r}")
-        out[m] += weight * np.sum(w * vals, axis=1)
+        out[live] += weight * np.sum(w * vals, axis=1)
     return out
 
 

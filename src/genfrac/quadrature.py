@@ -20,6 +20,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.special import roots_jacobi
 
+from .pset import ParameterSet
 from .specfun import Kernel
 
 __all__ = [
@@ -27,6 +28,7 @@ __all__ = [
     "Rectangle",
     "NonFiniteSampleError",
     "DEFAULT_RULE",
+    "convolution_rows",
     "integrate_singular",
     "integrate_2d",
     "contour_integral",
@@ -238,6 +240,23 @@ def singular_nodes(kernel: Kernel, lengths, rule: QuadratureRule):
     return u, w
 
 
+def convolution_rows(
+    pset: ParameterSet, kernel: Kernel, targets: np.ndarray, rule: QuadratureRule
+):
+    """Yield ``(weight, live, tau, w)`` for each nonzero half of K_P at targets.
+
+    ``weight * sum(w * f(tau), axis=1)`` is that half at ``targets[live]``.
+    """
+    for weight, sign, L in ((pset.p, -1.0, targets - pset.a), (pset.q, 1.0, pset.b - targets)):
+        if weight == 0.0:
+            continue
+        live = L > 0.0
+        if not live.any():
+            continue
+        u, w = singular_nodes(kernel, L[live], rule)
+        yield weight, live, targets[live, None] + sign * u, w
+
+
 def integrate_singular(
     f: Callable[[np.ndarray], np.ndarray],
     kernel: Kernel,
@@ -257,10 +276,11 @@ def integrate_singular(
         raise ValueError(f"orientation must be 'lo' or 'hi', got {orientation!r}")
     if not hi > lo:
         return 0.0
-    u, w = singular_nodes(kernel, hi - lo, rule)
-    u = u[0]
-    w = w[0]
-    tau = lo + u if orientation == "lo" else hi - u
+    # The rightward half of K at lo, or the leftward half at hi.
+    target, p, q = (lo, 0.0, 1.0) if orientation == "lo" else (hi, 1.0, 0.0)
+    pset = ParameterSet(lo, hi, p, q)
+    ((_, _, tau, w),) = convolution_rows(pset, kernel, np.array([target]), rule)
+    tau, w = tau[0], w[0]
     fx = np.broadcast_to(np.asarray(f(tau), dtype=float), tau.shape)
     if not np.all(np.isfinite(fx)):
         bad = tau[~np.isfinite(fx)][0]

@@ -156,7 +156,7 @@ def tempered_kernel(alpha: float, lam: float) -> Kernel:
         order_param=alpha,
         evaluate=evaluate,
         singularity_exponent=1.0 - alpha,
-        label=f"tempered(lam={lam:g})",
+        label=f"tempered(lam={float(lam)!r})",
     )
 
 

@@ -228,3 +228,34 @@ def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     out = capsys.readouterr().out
     assert "genfrac" in out
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "ibp", "--alpha", "0.5", "--psets", "left,left", "--rect", "0,1,0,1",
+         "--f", "exp(350*t1)", "--g", "exp(350*t2)", "--eta1", "exp(350*t1)*exp(350*t2)",
+         "--eta2", "1", "--tol", "1e-4"],
+        ["verify", "green", "--alpha", "0.5", "--psets", "right,right", "--rect", "0,1,0,1",
+         "--f", "t1+t2", "--g", "log(t1)", "--eta", "t1*t2", "--tol", "1e-4"],
+    ],
+    ids=["ibp-overflow", "green-log-edge"],
+)
+def test_verify_nonfinite_report_is_numerical_failure(capsys, argv):
+    code, out, err = _run(capsys, argv)
+    assert code == 2
+    assert out == ""  # no NaN or Infinity reaches the report
+    assert "numerical failure" in err
+
+
+@pytest.mark.parametrize("flag", ["--order", "--panels"])
+def test_zero_rule_size_is_usage_error(capsys, flag):
+    code, out, err = _run(
+        capsys,
+        ["eval", "--op", "K", "--alpha", "0.5", "--pset", "0,1,1,0", "--f", "1", "--t", "1",
+         flag, "0"],
+    )
+    assert code == 1
+    assert out == ""
+    assert "must be >= 1" in err

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from genfrac.funcspec import FuncSpec, parse_expression
 from genfrac.identities import (
@@ -13,6 +15,7 @@ from genfrac.identities import (
     verify_green_rl_corollary,
     verify_ibp_2d,
 )
+from genfrac.opmatrix import clear_matrix_cache
 from genfrac.ops1d import OperatorRequest
 from genfrac.ops2d import PartialRequest, partial_kop
 from genfrac.pset import ParameterSet, standard_left, standard_right
@@ -306,3 +309,37 @@ def test_report_json_schema():
     assert again["lhs"] == r.lhs
     assert again["rel_residual"] == r.rel_residual
     assert again["abs_residual"] == abs(r.lhs - (r.rhs_area + r.rhs_boundary))
+
+
+def test_matrix_cache_tells_close_tempering_rates_apart():
+    args = (e2("t1+t2"), e2("t1*t2"), e2("sin(t1)*t2"), e2("t1*cos(t2)"), 0.5, LEFT1, LEFT1)
+    clear_matrix_cache()
+    verify_ibp_2d(*args, tempered_family(1.0), RECT)
+    after_neighbour = verify_ibp_2d(*args, tempered_family(1.0000001), RECT)
+    clear_matrix_cache()
+    fresh = verify_ibp_2d(*args, tempered_family(1.0000001), RECT)
+    assert after_neighbour.lhs == fresh.lhs
+
+
+_weight = st.one_of(st.just(0.0), st.floats(0.0, 2.0))
+
+
+@pytest.mark.filterwarnings("ignore:all three identity terms")
+@settings(max_examples=25, deadline=None)
+@given(
+    a1=st.floats(-3.0, 3.0),
+    a2=st.floats(-3.0, 3.0),
+    w1=st.floats(1e-2, 10.0),
+    w2=st.floats(1e-2, 10.0),
+    weights=st.tuples(_weight, _weight, _weight, _weight),
+    alpha=st.floats(0.1, 0.9, exclude_min=True, exclude_max=True),
+    kernel=st.sampled_from(["rl", "tempered"]),
+)
+def test_identities_hold_on_random_rectangles_and_psets(a1, a2, w1, w2, weights, alpha, kernel):
+    rect = Rectangle(a1, a1 + w1, a2, a2 + w2)
+    p1 = ParameterSet(rect.a1, rect.b1, weights[0], weights[1])
+    p2 = ParameterSet(rect.a2, rect.b2, weights[2], weights[3])
+    family = RL if kernel == "rl" else tempered_family(1.0)
+    f, g, eta1, eta2 = (e2(s) for s in ("t1+t2", "t1*t2", "sin(t1)*t2", "t1*cos(t2)"))
+    assert verify_green(f, g, eta1, alpha, p1, p2, family, rect).rel_residual <= 1e-4
+    assert verify_ibp_2d(f, g, eta1, eta2, alpha, p1, p2, family, rect).rel_residual <= 1e-5
