@@ -151,7 +151,7 @@ def _grid(spec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(vals)):
         i, j = np.argwhere(~np.isfinite(vals))[0]
         raise NonFiniteSampleError(
-            f"{label!r} non-finite at (t1, t2)=({x[i]!r}, {y[j]!r})"
+            f"{label!r} non-finite at (t1, t2)=({float(x[i])!r}, {float(y[j])!r})"
         )
     return np.ascontiguousarray(vals)
 

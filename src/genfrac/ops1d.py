@@ -31,9 +31,6 @@ from .specfun import Kernel, KernelFamily
 
 __all__ = ["OperatorRequest", "kop", "aop", "bop"]
 
-_EPS_CBRT = float(np.cbrt(np.finfo(float).eps))
-
-
 @dataclass(frozen=True)
 class OperatorRequest:
     """Operator kind, order, p-set, kernel family and quadrature rule.
@@ -78,7 +75,7 @@ def _convolve_many(
     for weight, live, tau, w in convolution_rows(pset, kernel, ts, rule):
         vals = np.broadcast_to(np.asarray(f(tau), dtype=float), tau.shape)
         if not np.all(np.isfinite(vals)):
-            bad = tau[~np.isfinite(vals)][0]
+            bad = float(tau[~np.isfinite(vals)][0])
             raise NonFiniteSampleError(f"operand non-finite at tau={bad!r}")
         out[live] += weight * np.sum(w * vals, axis=1)
     return out
@@ -120,8 +117,17 @@ def _fd_stencil(t: float, a: float, b: float, h: float):
             )
         offsets = (0.0, -1.0, -2.0, -3.0, -4.0)
         coeffs = (25.0, -48.0, 36.0, -16.0, 3.0)
-    pts = np.array([t + o * h for o in offsets])
-    return pts, np.array(coeffs) / (12.0 * h)
+    pts = [t + o * h for o in offsets]
+    # Far from the origin the float grid of a short interval can be coarse
+    # against h.  The derivative's relative error is then about the
+    # rounding of the sample points over h, so refuse above 1e-6 (and
+    # h = 0, which a subnormal interval length gives).
+    if h == 0.0 or max(abs((x - t) - o * h) for x, o in zip(pts, offsets)) > 1e-6 * h:
+        raise ValueError(
+            f"interval [{a}, {b}] too small for the differentiation step h={h} "
+            f"at t={t}: the sample points round by more than 1e-6*h"
+        )
+    return np.array(pts), np.array(coeffs) / (12.0 * h)
 
 
 def aop(req: OperatorRequest, f: FuncSpec, t: float) -> float:
@@ -141,7 +147,7 @@ def aop(req: OperatorRequest, f: FuncSpec, t: float) -> float:
             f"derivative evaluation refused at or beyond the endpoints: t={t!r} "
             f"not interior to ({P.a!r}, {P.b!r})"
         )
-    h = max(1e-4, _EPS_CBRT * (P.b - P.a))
+    h = 1e-4 * (P.b - P.a)
     pts, coeffs = _fd_stencil(t, P.a, P.b, h)
     kern = req.instantiated_kernel()
     vals = _convolve_many(P, kern, req.rule, f.fn, pts)

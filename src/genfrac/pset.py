@@ -26,7 +26,7 @@ class ParameterSet:
     def __post_init__(self) -> None:
         for name in ("a", "b", "p", "q"):
             v = getattr(self, name)
-            if not isinstance(v, (int, float)) or not math.isfinite(v):
+            if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
                 raise ValueError(f"p-set field {name} must be a finite real, got {v!r}")
         if not self.a < self.b:
             raise ValueError(f"p-set needs a < b, got a={self.a!r}, b={self.b!r}")

@@ -18,7 +18,6 @@ from typing import Callable
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import roots_jacobi
 
 from .pset import ParameterSet
 from .specfun import Kernel
@@ -40,6 +39,11 @@ __all__ = [
 # singularity: what matters then is a bounded width ratio between
 # neighbouring panels, not aggressive refinement.
 _ABSORBED_GRADING = 2.0
+
+# Entries kept by the caches keyed on the singularity exponent.  Every
+# fresh order alpha is a new key, so a sweep over alpha would otherwise
+# grow them without limit.
+_SIGMA_CACHE_SIZE = 128
 
 
 class NonFiniteSampleError(ArithmeticError):
@@ -102,6 +106,11 @@ class Rectangle:
     b2: float
 
     def __post_init__(self) -> None:
+        if not all(math.isfinite(v) for v in (self.a1, self.b1, self.a2, self.b2)):
+            raise ValueError(
+                f"rectangle endpoints must be finite, got "
+                f"[{self.a1}, {self.b1}] x [{self.a2}, {self.b2}]"
+            )
         if not (self.a1 < self.b1 and self.a2 < self.b2):
             raise ValueError(
                 f"degenerate rectangle [{self.a1}, {self.b1}] x [{self.a2}, {self.b2}]"
@@ -126,11 +135,28 @@ def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_SIGMA_CACHE_SIZE)
 def _jacobi_left(n: int, sigma: float) -> tuple[np.ndarray, np.ndarray]:
-    # nodes/weights on [-1, 1] for the weight (1 + x)**(-sigma)
-    x, w = roots_jacobi(n, 0.0, -sigma)
-    return x, w
+    """Gauss-Jacobi nodes/weights on [-1, 1] for the weight (1 + x)**(-sigma).
+
+    Golub-Welsch: the nodes are the eigenvalues of the symmetric Jacobi
+    matrix of the recurrence for P_k^(0, -sigma), and each weight is the
+    zeroth moment times the squared first component of its eigenvector.
+    With s = 2k - sigma the matrix has diagonal sigma**2 / (s (s + 2))
+    (k >= 1) and off-diagonal 2k (k - sigma) / (s sqrt(s**2 - 1)).
+    """
+    k = np.arange(1, n, dtype=float)
+    s = 2.0 * k - sigma
+    diag = np.empty(n)
+    diag[0] = -sigma / (2.0 - sigma)
+    diag[1:] = sigma * sigma / (s * (s + 2.0))
+    off = 2.0 * k * (k - sigma) / (s * np.sqrt((s - 1.0) * (s + 1.0)))
+    # eigh reads the lower triangle only
+    x, V = np.linalg.eigh(np.diag(diag) + np.diag(off, -1))
+    mu0 = 2.0 ** (1.0 - sigma) / (1.0 - sigma)  # int_{-1}^{1} (1 + x)**(-sigma) dx
+    # V[0] has unit norm in exact arithmetic; rescaling it makes sum(w) == mu0
+    v0 = V[0] ** 2
+    return x, (mu0 / v0.sum()) * v0
 
 
 def graded_edges(
@@ -170,7 +196,7 @@ def composite_nodes(lo: float, hi: float, rule: QuadratureRule):
     return lo + L * x, L * w, lo + L * edges
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_SIGMA_CACHE_SIZE)
 def _singular_unit(family: str, sigma: float, order: int, panels: int, strength: float):
     """Unit-interval pattern for int_0^L k(u) phi(u) du, kernel singular at 0.
 
@@ -283,7 +309,7 @@ def integrate_singular(
     tau, w = tau[0], w[0]
     fx = np.broadcast_to(np.asarray(f(tau), dtype=float), tau.shape)
     if not np.all(np.isfinite(fx)):
-        bad = tau[~np.isfinite(fx)][0]
+        bad = float(tau[~np.isfinite(fx)][0])
         raise NonFiniteSampleError(
             f"integrand non-finite at tau={bad!r} on [{lo}, {hi}]"
         )
@@ -307,7 +333,7 @@ def integrate_2d(
     if not np.all(np.isfinite(vals)):
         i, j = np.argwhere(~np.isfinite(vals))[0]
         raise NonFiniteSampleError(
-            f"integrand non-finite at (t1, t2)=({x[i]!r}, {y[j]!r})"
+            f"integrand non-finite at (t1, t2)=({float(x[i])!r}, {float(y[j])!r})"
         )
     return float(wx @ vals @ wy)
 
@@ -316,10 +342,9 @@ def _edge_values(fn, t1, t2, edge: str) -> np.ndarray:
     vals = np.broadcast_to(np.asarray(fn(t1, t2), dtype=float), np.broadcast(t1, t2).shape)
     if not np.all(np.isfinite(vals)):
         k = int(np.flatnonzero(~np.isfinite(vals))[0])
+        at = tuple(float(np.broadcast_to(t, vals.shape).flat[k]) for t in (t1, t2))
         raise NonFiniteSampleError(
-            f"boundary integrand non-finite on {edge} edge at "
-            f"(t1, t2)=({np.ravel(t1)[k] if np.ndim(t1) else t1!r}, "
-            f"{np.ravel(t2)[k] if np.ndim(t2) else t2!r})"
+            f"boundary integrand non-finite on {edge} edge at (t1, t2)={at!r}"
         )
     return vals
 

@@ -1,12 +1,17 @@
 """Command-line interface: flags, exit codes, report emission, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from genfrac.cli import main, run
 
 TWO_INV_GAMMA_HALF = 1.1283791670955125739
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _run(capsys, argv):
@@ -259,3 +264,16 @@ def test_zero_rule_size_is_usage_error(capsys, flag):
     assert code == 1
     assert out == ""
     assert "must be >= 1" in err
+
+
+def test_import_loads_no_scipy():
+    # numpy is the only runtime dependency; scipy would double the cold start
+    code = (
+        "import genfrac, sys; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"

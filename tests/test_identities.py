@@ -19,7 +19,7 @@ from genfrac.opmatrix import clear_matrix_cache
 from genfrac.ops1d import OperatorRequest
 from genfrac.ops2d import PartialRequest, partial_kop
 from genfrac.pset import ParameterSet, standard_left, standard_right
-from genfrac.quadrature import QuadratureRule, Rectangle, integrate_2d
+from genfrac.quadrature import NonFiniteSampleError, QuadratureRule, Rectangle, integrate_2d
 from genfrac.specfun import rl_family, tempered_family
 
 IBP_CONST_BOTH_SIDES = 1.5045055561273500985  # 4 / (3 gamma(3/2))
@@ -91,6 +91,15 @@ def test_ibp_matches_direct_partial_op_integration():
     )
     assert r.lhs == pytest.approx(lhs_direct, rel=1e-10)
     assert r.rhs_area == pytest.approx(rhs_direct, rel=1e-10)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_grid_nonfinite_diagnostic_prints_plain_floats():
+    num = r"-?\d[\d.e+-]*"
+    with pytest.raises(NonFiniteSampleError, match=rf"\(t1, t2\)=\({num}, {num}\)"):
+        verify_ibp_2d(
+            e2("log(t1-0.5)"), e2("t1"), e2("t2"), e2("t1"), 0.5, LEFT1, LEFT1, RL, RECT
+        )
 
 
 def test_ibp_rejects_mismatched_pset_interval():

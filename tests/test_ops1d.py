@@ -6,7 +6,7 @@ import pytest
 from genfrac.funcspec import FuncSpec, parse_expression
 from genfrac.ops1d import OperatorRequest, aop, bop, kop, leibniz_boundary_terms
 from genfrac.pset import ParameterSet, standard_left, standard_right
-from genfrac.quadrature import QuadratureRule
+from genfrac.quadrature import NonFiniteSampleError, QuadratureRule
 from genfrac.specfun import euler_oracle, rl_family, tempered_family
 
 TWO_INV_GAMMA_HALF = 1.1283791670955125739
@@ -128,10 +128,33 @@ def test_aop_one_sided_stencils_near_endpoints():
 
 
 def test_aop_interval_too_small_for_stencil():
-    # 3h-wide interval: neither the central nor a one-sided stencil fits
-    tiny = ParameterSet(0.0, 3e-4, 1.0, 0.0)
+    # a 3e-4-wide interval at 1e8: the float spacing there (1.5e-8) is
+    # coarse against the step h = 3e-8, so the stencil cannot be placed
+    tiny = ParameterSet(1e8, 1e8 + 3e-4, 1.0, 0.0)
     with pytest.raises(ValueError, match="too small"):
-        aop(A(0.5, tiny), ONE, 1.5e-4)
+        aop(A(0.5, tiny), ONE, 1e8 + 1.5e-4)
+    # a subnormal length: the step underflows to 0
+    with pytest.raises(ValueError, match="too small"):
+        aop(A(0.5, ParameterSet(0.0, 1e-320, 1.0, 0.0)), ONE, 5e-321)
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5])
+def test_aop_rescales_to_small_interval(alpha):
+    # power kernel, left p-set: A of f(t/L) on [0, L] at L*u is
+    # L**(-alpha) times A of f on [0, 1] at u
+    L = 1e-4
+    f = parse_expression("1+t^2+sin(t)", arity=1)
+    f_scaled = parse_expression("1+(t/0.0001)^2+sin(t/0.0001)", arity=1)
+    for u in (0.25, 0.5, 0.9):
+        unit = aop(A(alpha, LEFT), f, u)
+        small = aop(A(alpha, standard_left(0.0, L)), f_scaled, L * u)
+        assert small == pytest.approx(L ** (-alpha) * unit, rel=1e-9)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_operand_nonfinite_diagnostic_prints_plain_float():
+    with pytest.raises(NonFiniteSampleError, match=r"tau=-?\d[\d.e+-]*$"):
+        kop(K(0.5, LEFT), parse_expression("log(t-0.5)", arity=1), 1.0)
 
 
 def test_bop_constant_is_zero():

@@ -51,6 +51,14 @@ def test_invalid_interval_rejected():
         ParameterSet(0.0, 1.0, float("nan"), 0.0)
 
 
+@pytest.mark.parametrize(
+    "fields", [(0.0, 1.0, True, False), (False, True, 1.0, 0.0), (0.0, 1.0, 1.0, False)]
+)
+def test_bool_fields_rejected(fields):
+    with pytest.raises(ValueError, match="finite real"):
+        ParameterSet(*fields)
+
+
 def test_text_round_trip():
     P = ParameterSet(-1.5, 2.0, 0.25, -3.0)
     assert ParameterSet.from_text(P.to_text()) == P

@@ -6,10 +6,13 @@ import numpy as np
 import pytest
 
 from genfrac.quadrature import (
+    _SIGMA_CACHE_SIZE,
     DEFAULT_RULE,
     NonFiniteSampleError,
     QuadratureRule,
     Rectangle,
+    _jacobi_left,
+    _singular_unit,
     composite_nodes,
     contour_integral,
     integrate_2d,
@@ -19,6 +22,8 @@ from genfrac.specfun import gamma, rl_kernel
 
 TWO_INV_GAMMA_HALF = 1.1283791670955125739
 SIN_EXP_BOX = 0.78989019441129979562  # (1 - cos 1)(e - 1)
+PLAIN_FLOAT = r"-?\d[\d.e+-]*"  # repr of a Python float, not np.float64(...)
+PLAIN_PAIR = rf"\(t1, t2\)=\({PLAIN_FLOAT}, {PLAIN_FLOAT}\)"
 
 
 def test_singular_constant_mass():
@@ -105,8 +110,46 @@ def test_singular_families_agree():
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_singular_nonfinite_diagnostic():
     k = rl_kernel(0.5)
-    with pytest.raises(NonFiniteSampleError, match="tau="):
+    with pytest.raises(NonFiniteSampleError, match=rf"tau={PLAIN_FLOAT} on"):
         integrate_singular(lambda u: np.log(u - 0.5), k, 0.0, 1.0, "hi")
+
+
+@pytest.mark.parametrize("sigma", [0.01, 0.1, 0.5, 0.9, 0.99])
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 16, 32, 64])
+def test_jacobi_rule_against_mpmath(n, sigma):
+    # Gauss-Jacobi rule for the weight (1 + x)**(-sigma) on [-1, 1]
+    mp = pytest.importorskip("mpmath")
+    x, w = _jacobi_left(n, sigma)
+    assert x.shape == w.shape == (n,)
+    mu0 = 2.0 ** (1.0 - sigma) / (1.0 - sigma)
+    assert math.fsum(w) == pytest.approx(mu0, rel=1e-14)
+    with mp.workdps(40):
+        b = -mp.mpf(sigma)
+
+        def dP(t):  # d/dt P_n^(0, b)(t)
+            return (n + b + 1) / 2 * mp.jacobi(n - 1, 1, b + 1, t)
+
+        for xi, wi in zip(x, w):
+            # Newton from the rule's node converges to the exact zero
+            t = mp.mpf(float(xi))
+            for _ in range(4):
+                t -= mp.jacobi(n, 0, b, t) / dP(t)
+            # Christoffel weight of Gauss-Jacobi with a = 0
+            w_ref = 2 ** (b + 1) / ((1 - t * t) * dP(t) ** 2)
+            assert abs(float(xi) - float(t)) <= 2e-15
+            assert abs(float((wi - w_ref) / w_ref)) <= 1e-12
+
+
+def test_sigma_keyed_rule_caches_are_bounded():
+    # every fresh order is a new key; the caches must not grow with a sweep
+    count = _SIGMA_CACHE_SIZE + 40
+    for i in range(count):
+        alpha = 0.1 + 0.8 * i / count
+        integrate_singular(np.cos, rl_kernel(alpha), 0.0, 1.0, "hi", QuadratureRule(panels=2))
+    for cache in (_jacobi_left, _singular_unit):
+        info = cache.cache_info()
+        assert info.maxsize == _SIGMA_CACHE_SIZE
+        assert info.currsize <= _SIGMA_CACHE_SIZE
 
 
 def test_integrate_2d_area():
@@ -138,7 +181,7 @@ def test_integrate_2d_polynomial_exactness_off_unit_square():
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_integrate_2d_nonfinite_diagnostic():
-    with pytest.raises(NonFiniteSampleError, match="t1, t2"):
+    with pytest.raises(NonFiniteSampleError, match=PLAIN_PAIR):
         integrate_2d(lambda X, Y: 1.0 / (X - X), Rectangle(0, 1, 0, 1))
 
 
@@ -179,7 +222,7 @@ def test_contour_matches_curl_integral(pq):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_contour_nonfinite_edge_diagnostic():
-    with pytest.raises(NonFiniteSampleError, match="edge"):
+    with pytest.raises(NonFiniteSampleError, match="bottom edge at " + PLAIN_PAIR):
         contour_integral(
             lambda X, Y: np.log(-np.abs(X) - 1.0), lambda X, Y: 0.0 * X, Rectangle(0, 1, 0, 1)
         )
@@ -203,6 +246,14 @@ def test_rectangle_validation():
         Rectangle(1, 0, 0, 1)
     with pytest.raises(ValueError):
         Rectangle(0, 1, 2, 2)
+
+
+@pytest.mark.parametrize(
+    "ends", [(0, math.inf, 0, 1), (-math.inf, 0, 0, 1), (0, 1, -math.inf, math.inf)]
+)
+def test_rectangle_rejects_infinite_endpoints(ends):
+    with pytest.raises(ValueError, match="finite"):
+        Rectangle(*ends)
 
 
 def test_composite_nodes_structure():
