@@ -15,7 +15,7 @@ import argparse
 import json
 import sys
 
-from .corpus import corpus_json, make_pset
+from .corpus import corpus_json
 from .funcspec import parse_expression
 from .identities import (
     convergence_study,
@@ -26,7 +26,7 @@ from .identities import (
 )
 from .ops1d import OperatorRequest, aop, bop, kop
 from .ops2d import PartialRequest, partial_aop, partial_bop, partial_kop
-from .pset import ParameterSet
+from .pset import parse_psets, standard_left
 from .quadrature import NonFiniteSampleError, QuadratureRule, Rectangle
 from .specfun import kernel_family_from_label
 
@@ -52,40 +52,6 @@ def _floats(text: str, n: int, what: str) -> tuple[float, ...]:
         raise UsageError(f"non-numeric value in {what}: {text!r}") from None
 
 
-def _parse_pset_pair(text: str, rect: Rectangle) -> tuple[ParameterSet, ParameterSet]:
-    """Expand --psets: two of left | right | mixed:p,q | mixed:p:q | a,b,p,q."""
-    pieces = text.split(",")
-    specs: list[ParameterSet] = []
-    intervals = (rect.axis1, rect.axis2)
-    i = 0
-    while i < len(pieces):
-        if len(specs) == 2:
-            raise UsageError(f"--psets takes exactly two specs, got extra in {text!r}")
-        a, b = intervals[len(specs)]
-        piece = pieces[i]
-        if piece in ("left", "right", "mixed"):
-            specs.append(make_pset(piece, a, b))
-            i += 1
-        elif piece.startswith("mixed:"):
-            if ":" in piece[len("mixed:") :]:
-                specs.append(make_pset(piece, a, b))
-                i += 1
-            else:
-                if i + 1 >= len(pieces):
-                    raise UsageError(f"mixed p-set needs two weights in {text!r}")
-                specs.append(make_pset(f"{piece}:{pieces[i + 1]}", a, b))
-                i += 2
-        else:
-            if i + 3 >= len(pieces):
-                raise UsageError(f"raw p-set needs four numbers in {text!r}")
-            quad = ",".join(pieces[i : i + 4])
-            specs.append(ParameterSet.from_text(quad))
-            i += 4
-    if len(specs) != 2:
-        raise UsageError(f"--psets takes exactly two specs, got {len(specs)} in {text!r}")
-    return specs[0], specs[1]
-
-
 def _rule_from(args) -> QuadratureRule:
     return QuadratureRule(order_per_panel=args.order, panels=args.panels)
 
@@ -106,7 +72,7 @@ def build_parser() -> _ArgumentParser:
     pe.add_argument("--op", required=True, choices=["K", "A", "B"])
     pe.add_argument("--kernel", default="rl")
     pe.add_argument("--alpha", type=float, required=True)
-    pe.add_argument("--pset", required=True, help="a,b,p,q")
+    pe.add_argument("--pset", required=True, help="raw p-set a,b,p,q (grammar: genfrac.pset)")
     pe.add_argument("--axis", type=int, choices=[1, 2])
     pe.add_argument("--rect", help="a1,b1,a2,b2 (with --axis)")
     pe.add_argument("--f", required=True, dest="f_expr")
@@ -123,7 +89,9 @@ def build_parser() -> _ArgumentParser:
         pv.add_argument("identity", choices=["ibp", "green", "green-rl"])
         pv.add_argument("--alpha", type=float, required=True)
         pv.add_argument("--kernel", default=None)
-        pv.add_argument("--psets", default=None, help="SPEC,SPEC")
+        pv.add_argument(
+            "--psets", help="SPEC,SPEC; SPEC is left|right|mixed|mixed:p,q|a,b,p,q (genfrac.pset)"
+        )
         pv.add_argument("--rect", required=True, help="a1,b1,a2,b2")
         pv.add_argument("--f", required=True, dest="f_expr")
         pv.add_argument("--g", required=True, dest="g_expr")
@@ -148,7 +116,7 @@ def build_parser() -> _ArgumentParser:
 
 
 def _cmd_eval(args) -> int:
-    pset = ParameterSet.from_text(args.pset)
+    (pset,) = parse_psets(args.pset, None)
     family = kernel_family_from_label(args.kernel)
     rule = _rule_from(args)
     req = OperatorRequest(kind=args.op, alpha=args.alpha, pset=pset, kernel=family, rule=rule)
@@ -161,8 +129,8 @@ def _cmd_eval(args) -> int:
         extent = rect.axis1 if args.axis == 1 else rect.axis2
         if (pset.a, pset.b) != extent:
             raise UsageError(
-                f"--pset interval [{pset.a:g}, {pset.b:g}] does not match rectangle "
-                f"axis {args.axis} [{extent[0]:g}, {extent[1]:g}]"
+                f"--pset interval [{pset.a}, {pset.b}] does not match rectangle "
+                f"axis {args.axis} [{extent[0]}, {extent[1]}]"
             )
         f = parse_expression(args.f_expr, arity=2)
         preq = PartialRequest(axis=args.axis, base=req)
@@ -197,16 +165,13 @@ def _verify_inputs(args, need_eta: bool) -> dict:
     if args.identity == "green-rl":
         if args.kernel not in (None, "rl"):
             raise UsageError("green-rl fixes the power kernel; drop --kernel")
-        if args.psets is not None:
-            p1, p2 = _parse_pset_pair(args.psets, rect)
-            if (p1.p, p1.q, p2.p, p2.q) != (1.0, 0.0, 1.0, 0.0):
-                raise UsageError("green-rl fixes left p-sets; drop --psets")
+        left = (standard_left(*rect.axis1), standard_left(*rect.axis2))
+        if args.psets is not None and parse_psets(args.psets, rect.axis1, rect.axis2) != left:
+            raise UsageError("green-rl fixes left p-sets on --rect; drop --psets")
     else:
         if args.psets is None:
             raise UsageError("this identity needs --psets")
-        p1, p2 = _parse_pset_pair(args.psets, rect)
-        inputs["p1"] = p1
-        inputs["p2"] = p2
+        inputs["p1"], inputs["p2"] = parse_psets(args.psets, rect.axis1, rect.axis2)
         inputs["kernel"] = kernel_family_from_label(args.kernel or "rl")
     return inputs
 

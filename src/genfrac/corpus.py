@@ -14,7 +14,7 @@ import json
 
 from .funcspec import parse_expression
 from .identities import verify_green, verify_ibp_2d
-from .pset import ParameterSet, standard_left, standard_right
+from .pset import parse_psets
 from .quadrature import DEFAULT_RULE, QuadratureRule, Rectangle
 from .specfun import kernel_family_from_label
 
@@ -24,7 +24,6 @@ __all__ = [
     "CORPUS_PSETS",
     "CORPUS_KERNELS",
     "CORPUS_FUNCTIONS",
-    "make_pset",
     "iter_corpus",
     "run_corpus",
     "corpus_json",
@@ -48,23 +47,6 @@ CORPUS_FUNCTIONS = (
 )
 
 
-def make_pset(spec: str, a: float, b: float) -> ParameterSet:
-    """Expand a p-set shape name (left/right/mixed[:p:q]) on [a, b]."""
-    if spec == "left":
-        return standard_left(a, b)
-    if spec == "right":
-        return standard_right(a, b)
-    if spec == "mixed":
-        return ParameterSet(a, b, 0.5, 0.5)
-    if spec.startswith("mixed:"):
-        body = spec[len("mixed:") :].replace(",", ":")
-        parts = body.split(":")
-        if len(parts) != 2:
-            raise ValueError(f"mixed p-set needs two weights, got {spec!r}")
-        return ParameterSet(a, b, float(parts[0]), float(parts[1]))
-    raise ValueError(f"unknown p-set shape {spec!r}")
-
-
 def iter_corpus():
     """Yield (functions, alpha, pset_spec, kernel_spec) in the fixed order."""
     for fns in CORPUS_FUNCTIONS:
@@ -83,8 +65,8 @@ def run_corpus(rule: QuadratureRule = DEFAULT_RULE) -> dict:
         g = parse_expression(fns["g"], arity=2)
         eta1 = parse_expression(fns["eta1"], arity=2)
         eta2 = parse_expression(fns["eta2"], arity=2)
-        p1 = make_pset(pspec, rect.a1, rect.b1)
-        p2 = make_pset(pspec, rect.a2, rect.b2)
+        (p1,) = parse_psets(pspec, rect.axis1)
+        (p2,) = parse_psets(pspec, rect.axis2)
         kernel = kernel_family_from_label(kspec)
         ibp = verify_ibp_2d(f, g, eta1, eta2, alpha, p1, p2, kernel, rect, rule)
         green = verify_green(f, g, eta1, alpha, p1, p2, kernel, rect, rule)

@@ -1,17 +1,32 @@
-"""Parameter sets and their duals.
+"""Parameter sets, their duals and their text form.
 
 Every operator in the package is indexed by a parameter set: the interval
 endpoints and the weights of the leftward and rightward convolution
 halves.  The evaluation point varies over the interval and is therefore
 an argument of the operators, not a field here.
+
+A p-set spec is the text of one p-set; ``parse_psets`` is its one reader::
+
+    left        <a, b, 1, 0>       the classical left-sided operators
+    right       <a, b, 0, 1>       the classical right-sided operators
+    mixed       <a, b, 0.5, 0.5>
+    mixed:p,q   <a, b, p, q>       also written mixed:p:q
+    a,b,p,q     <a, b, p, q>       raw, the only form that carries its interval
+
+Specs are joined by commas (``mixed:0.3,0.7,left`` is a pair), blanks
+around tokens are ignored and numbers are finite float literals.
+``ParameterSet.to_text`` writes the raw form, which reads back exactly.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
-__all__ = ["ParameterSet", "dual", "standard_left", "standard_right"]
+__all__ = [
+    "ParameterSet", "dual", "format_number", "parse_psets", "standard_left", "standard_right"
+]
 
 
 @dataclass(frozen=True)
@@ -35,23 +50,57 @@ class ParameterSet:
         """Swap the weights p and q; the interval is unchanged."""
         return ParameterSet(self.a, self.b, self.q, self.p)
 
-    @classmethod
-    def from_text(cls, text: str) -> "ParameterSet":
-        """Parse the textual form ``a,b,p,q``."""
-        parts = text.split(",")
-        if len(parts) != 4:
-            raise ValueError(f"p-set text must be 'a,b,p,q', got {text!r}")
-        try:
-            a, b, p, q = (float(s) for s in parts)
-        except ValueError:
-            raise ValueError(f"non-numeric field in p-set text {text!r}") from None
-        return cls(a, b, p, q)
-
     def to_text(self) -> str:
-        return f"{self.a:g},{self.b:g},{self.p:g},{self.q:g}"
+        """The raw spec ``a,b,p,q``."""
+        return ",".join(map(format_number, self.as_tuple()))
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.a, self.b, self.p, self.q)
+
+
+def format_number(x: float) -> str:
+    """Report text of x: the ``:g`` form when it reads back as x, else repr."""
+    text = f"{x:g}"
+    return text if float(text) == x else repr(float(x))
+
+
+# A number is a finite float() literal; float() also takes digits grouped by "_".
+_DIGITS = r"\d(?:_?\d)*"
+_NUM = rf"\s*([+-]?(?:{_DIGITS}(?:\.(?:{_DIGITS})?)?|\.{_DIGITS})(?:[eE][+-]?{_DIGITS})?)\s*"
+# One spec; its groups are the shape name, mixed's p and q, and raw a, b, p, q.
+_SPEC = rf"\s*(left|right|mixed)\s*|\s*mixed\s*:{_NUM}[,:]{_NUM}|{_NUM},{_NUM},{_NUM},{_NUM}"
+_GROUPS = re.compile(_SPEC).groups
+_FORMS = "left | right | mixed | mixed:p,q | mixed:p:q | a,b,p,q"
+_SHAPES = {"left": (1.0, 0.0), "right": (0.0, 1.0), "mixed": (0.5, 0.5)}
+
+
+def parse_psets(text: str, *intervals: tuple[float, float] | None) -> tuple[ParameterSet, ...]:
+    """Read one p-set spec per interval from ``text``, specs joined by commas.
+
+    A shape spec (left, right, mixed...) takes [a, b] from its interval;
+    where the interval is None only the raw ``a,b,p,q`` is accepted.
+    """
+    m = re.fullmatch(",".join([f"(?:{_SPEC})"] * len(intervals)), text)
+    if m is None:
+        raise ValueError(
+            f"bad p-set spec {text!r}: expected {len(intervals)} spec(s) joined by "
+            f"commas, each one of {_FORMS}"
+        )
+    psets = []
+    for k, interval in enumerate(intervals):
+        shape, mixed_p, mixed_q, *raw = m.groups()[_GROUPS * k : _GROUPS * (k + 1)]
+        if raw[0] is not None:
+            fields = tuple(map(float, raw))
+        elif interval is None:
+            raise ValueError(f"bad p-set spec {text!r}: expected the raw form a,b,p,q")
+        else:
+            weights = _SHAPES[shape] if shape else (float(mixed_p), float(mixed_q))
+            fields = (*interval, *weights)
+        try:
+            psets.append(ParameterSet(*fields))
+        except ValueError as exc:
+            raise ValueError(f"bad p-set spec {text!r}: {exc}") from None
+    return tuple(psets)
 
 
 def dual(pset: ParameterSet) -> ParameterSet:

@@ -15,6 +15,8 @@ from typing import Callable, Literal
 
 import numpy as np
 
+from .pset import format_number
+
 __all__ = [
     "gamma",
     "Kernel",
@@ -166,7 +168,7 @@ def rl_family() -> KernelFamily:
 
 def tempered_family(lam: float) -> KernelFamily:
     return KernelFamily(
-        label=f"tempered(lam={lam:g})",
+        label=f"tempered(lam={format_number(lam)})",
         make=lambda order: tempered_kernel(order, lam),
     )
 

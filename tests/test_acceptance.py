@@ -12,11 +12,11 @@ import time
 import numpy as np
 import pytest
 
-from genfrac.corpus import CORPUS_RECT, iter_corpus, make_pset, run_corpus
+from genfrac.corpus import CORPUS_RECT, iter_corpus, run_corpus
 from genfrac.funcspec import FuncSpec, parse_expression
 from genfrac.identities import verify_green, verify_green_rl_corollary, verify_ibp_2d
 from genfrac.ops1d import OperatorRequest, _kop_values, aop, bop, kop
-from genfrac.pset import ParameterSet, dual, standard_left, standard_right
+from genfrac.pset import ParameterSet, dual, parse_psets, standard_left, standard_right
 from genfrac.quadrature import (
     QuadratureRule,
     Rectangle,
@@ -181,8 +181,8 @@ def test_criterion_06_green_identity(corpus_default):
         f = parse_expression(fns["f"], arity=2)
         g = parse_expression(fns["g"], arity=2)
         eta = parse_expression(fns["eta1"], arity=2)
-        p1 = make_pset(pspec, RECT.a1, RECT.b1)
-        p2 = make_pset(pspec, RECT.a2, RECT.b2)
+        (p1,) = parse_psets(pspec, RECT.axis1)
+        (p2,) = parse_psets(pspec, RECT.axis2)
         kernel = kernel_family_from_label(kspec)
         r32 = verify_green(f, g, eta, alpha, p1, p2, kernel, RECT, rule32)
         r8 = entry["green"]["rel_residual"]

@@ -159,6 +159,45 @@ def test_verify_green_rl_rejects_conflicting_flags(capsys):
     assert "green-rl" in err
 
 
+_IBP = ["verify", "ibp", "--alpha", "0.5", "--f", "t1+t2", "--g", "t1*t2",
+        "--eta1", "t1^2", "--eta2", "t2^2", "--rect", "0,1,0,1"]
+_GREEN_RL = ["verify", "green-rl", "--alpha", "0.5", "--f", "t1+t2", "--g", "t1*t2",
+             "--eta", "t1^2*t2", "--rect", "0,1,0,1"]
+_EVAL = ["eval", "--op", "K", "--alpha", "0.5", "--f", "1", "--t", "1"]
+_FORMS = "left | right | mixed | mixed:p,q | mixed:p:q | a,b,p,q"
+
+
+@pytest.mark.parametrize(
+    "argv, fragments",
+    [
+        (_IBP + ["--psets", "mixed:0.3,right"], ["'mixed:0.3,right'", _FORMS]),
+        (_IBP + ["--psets", "mixed:,left"], ["'mixed:,left'", _FORMS]),
+        (_IBP + ["--psets", "Left,left"], ["'Left,left'", _FORMS]),
+        (_IBP + ["--psets", "left,left,left"], ["'left,left,left'", _FORMS]),
+        (_EVAL + ["--pset", "left"], ["'left'", "raw form a,b,p,q"]),
+        (_EVAL + ["--pset", "0,1,1"], ["'0,1,1'", _FORMS]),
+        (_GREEN_RL + ["--psets", "5,6,1,0,5,6,1,0"], ["green-rl fixes left p-sets"]),
+        (_GREEN_RL + ["--psets", "0,1,1,0,0,2,1,0"], ["green-rl fixes left p-sets"]),
+        (_GREEN_RL + ["--psets", "right,left"], ["green-rl fixes left p-sets"]),
+    ],
+    ids=["mixed-short", "mixed-empty", "case", "three", "eval-shape", "eval-short",
+         "green-rl-off-rect", "green-rl-axis2", "green-rl-right"],
+)
+def test_bad_psets_are_usage_errors_naming_the_spec(capsys, argv, fragments):
+    code, out, err = _run(capsys, argv)
+    assert code == 1
+    assert out == ""
+    for fragment in fragments:
+        assert fragment in err
+
+
+@pytest.mark.parametrize("psets", ["left, left", "0,1,1,0,mixed:1,0"])
+def test_verify_green_rl_accepts_its_own_psets(capsys, psets):
+    code, out, _ = _run(capsys, _GREEN_RL + ["--psets", psets, "--tol", "1e-4"])
+    assert code == 0
+    assert json.loads(out)["psets"] == ["0,1,1,0", "0,1,1,0"]
+
+
 def test_mixed_pset_sugar_both_spellings(capsys):
     base = ["verify", "ibp", "--alpha", "0.5", "--f", "t1+t2", "--g", "t1*t2",
             "--eta1", "t1^2", "--eta2", "t2^2", "--rect", "0,1,0,1"]

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from genfrac.funcspec import FuncSpec, parse_expression
 from genfrac.ops1d import OperatorRequest, aop, bop, kop, leibniz_boundary_terms
@@ -241,3 +243,75 @@ def test_l1_bound_light():
     kmass = integrate_singular(lambda u: 1.0, kern, 0.0, 1.0, "lo")
     fnorm = float(np.dot(w, np.abs(f.fn(x))))
     assert lhs <= (abs(MIXED.p) + abs(MIXED.q)) * kmass * fnorm + 1e-9
+
+
+# Metamorphic properties on random intervals, weights, orders and operands.
+# Each compares the package with itself under a change of variables, so the
+# quadrature error cancels and only rounding and aop's difference step remain.
+_OPERANDS = ("exp(t)*sin(2*t)+t^2", "cos(t)-t^3", "1+t", "sin(3*t)*t", "exp(-t/2)")
+_OPS = {"K": kop, "A": aop, "B": bop}
+_TOL = {"K": 1e-10, "A": 1e-7, "B": 1e-10}
+
+
+def _composed(expr, inner):
+    """The operand t -> f(inner(t)) as a parsed expression."""
+    return parse_expression(expr.replace("t", f"({inner})"), arity=1)
+
+
+_cases = st.fixed_dictionaries(
+    {
+        "a": st.floats(-3.0, 3.0),
+        "width": st.floats(-2.0, 1.0).map(lambda e: 10.0**e),
+        "p": st.sampled_from([0.0, 1.0]) | st.floats(0.0, 2.0),
+        "q": st.sampled_from([0.0, 1.0]) | st.floats(0.0, 2.0),
+        "alpha": st.floats(0.1, 0.9),
+        "s": st.floats(0.05, 0.95),
+        "expr": st.sampled_from(_OPERANDS),
+        "kernel": st.sampled_from([RL, TEMPERED]),
+    }
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=_cases)
+def test_reflection_swaps_weights(case):
+    # g(t) = f(a+b-t): (K_P g)(a+b-t) = (K_P* f)(t); A and B pick up the
+    # sign of the chain rule, since A = d/dt o K and B = K o d/dt
+    a, b = case["a"], case["a"] + case["width"]
+    P = ParameterSet(a, b, case["p"], case["q"])
+    t = a + case["s"] * case["width"]
+    g = _composed(case["expr"], f"{a + b!r}-t")
+    f = parse_expression(case["expr"], arity=1)
+    for kind, op in _OPS.items():
+        got = op(OperatorRequest(kind, case["alpha"], P, case["kernel"]), g, a + b - t)
+        want = op(OperatorRequest(kind, case["alpha"], P.dual(), case["kernel"]), f, t)
+        sign = 1.0 if kind == "K" else -1.0
+        assert got == pytest.approx(sign * want, rel=_TOL[kind], abs=1e-9), kind
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=_cases, shift=st.floats(-50.0, 50.0))
+def test_translation_leaves_operators_unchanged(case, shift):
+    a, b = case["a"], case["a"] + case["width"]
+    t = a + case["s"] * case["width"]
+    f = parse_expression(case["expr"], arity=1)
+    moved = _composed(case["expr"], f"t-({shift!r})")
+    for kind, op in _OPS.items():
+        want = op(OperatorRequest(kind, case["alpha"], ParameterSet(a, b, case["p"], case["q"]),
+                                  case["kernel"]), f, t)
+        P = ParameterSet(a + shift, b + shift, case["p"], case["q"])
+        got = op(OperatorRequest(kind, case["alpha"], P, case["kernel"]), moved, t + shift)
+        assert got == pytest.approx(want, rel=_TOL[kind], abs=1e-9), kind
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=_cases, scale=st.floats(-3.0, 3.0).map(lambda e: 10.0**e))
+def test_rescaling_multiplies_power_kernel_integral(case, scale):
+    # the power kernel is homogeneous: k(L x) = L**(alpha-1) k(x)
+    a, b = case["a"], case["a"] + case["width"]
+    t = a + case["s"] * case["width"]
+    f = parse_expression(case["expr"], arity=1)
+    want = kop(K(case["alpha"], ParameterSet(a, b, case["p"], case["q"])), f, t)
+    P = ParameterSet(scale * a, scale * b, case["p"], case["q"])
+    got = kop(K(case["alpha"], P), _composed(case["expr"], f"t/{scale!r}"), scale * t)
+    assert got == pytest.approx(scale ** case["alpha"] * want, rel=_TOL["K"], abs=1e-300)

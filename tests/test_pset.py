@@ -2,7 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from genfrac.pset import ParameterSet, dual, standard_left, standard_right
+from genfrac.pset import ParameterSet, dual, parse_psets, standard_left, standard_right
+from genfrac.specfun import tempered_family
 
 
 def test_dual_swaps_weights():
@@ -61,9 +62,63 @@ def test_bool_fields_rejected(fields):
 
 def test_text_round_trip():
     P = ParameterSet(-1.5, 2.0, 0.25, -3.0)
-    assert ParameterSet.from_text(P.to_text()) == P
-    assert ParameterSet.from_text("0,1,1,0") == standard_left(0.0, 1.0)
+    assert parse_psets(P.to_text(), None) == (P,)
+    assert parse_psets("0,1,1,0", None) == (standard_left(0.0, 1.0),)
     with pytest.raises(ValueError):
-        ParameterSet.from_text("0,1,1")
+        parse_psets("0,1,1", None)
     with pytest.raises(ValueError):
-        ParameterSet.from_text("0,1,1,x")
+        parse_psets("0,1,1,x", None)
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=_finite, width=st.floats(1e-6, 1e6), p=_finite, q=_finite)
+def test_text_round_trip_is_lossless(a, width, p, q):
+    P = ParameterSet(a, a + width, p, q)
+    assert parse_psets(P.to_text(), None) == (P,)
+
+
+def test_report_text_keeps_every_digit():
+    assert ParameterSet(0.0, 1234567.0, 1.0, 0.0).to_text() == "0,1234567.0,1,0"
+    assert ParameterSet(0.0, 1.0, 0.123456789, 0.5).to_text() == "0,1,0.123456789,0.5"
+    assert tempered_family(1.0000001).label == "tempered(lam=1.0000001)"
+    assert tempered_family(1.0).label == "tempered(lam=1)"
+
+
+UNIT, TWO = (0.0, 1.0), (0.0, 2.0)
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("left,left", ((0, 1, 1, 0), (0, 2, 1, 0))),
+        ("right,mixed", ((0, 1, 0, 1), (0, 2, 0.5, 0.5))),
+        ("mixed,mixed", ((0, 1, 0.5, 0.5), (0, 2, 0.5, 0.5))),
+        ("mixed:0.5,0.5,left", ((0, 1, 0.5, 0.5), (0, 2, 1, 0))),
+        ("mixed:0.5:0.5,left", ((0, 1, 0.5, 0.5), (0, 2, 1, 0))),
+        ("left,mixed:0.3,0.7", ((0, 1, 1, 0), (0, 2, 0.3, 0.7))),
+        ("0,1,0.3,0.7,right", ((0, 1, 0.3, 0.7), (0, 2, 0, 1))),
+        ("0,1,1,0,0,2,0,1", ((0, 1, 1, 0), (0, 2, 0, 1))),
+        ("left, right", ((0, 1, 1, 0), (0, 2, 0, 1))),
+        (" 0, 1, 1, 0 , mixed : 0.3 : 0.7", ((0, 1, 1, 0), (0, 2, 0.3, 0.7))),
+        ("-1e-3,1.5e2,.5,5.,left", ((-1e-3, 150, 0.5, 5), (0, 2, 1, 0))),
+    ],
+)
+def test_pair_grammar(text, expected):
+    assert parse_psets(text, UNIT, TWO) == tuple(ParameterSet(*e) for e in expected)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["left", "left,left,left", "Left,left", "mixed:0.3,right", "mixed:,left", "mixed:1,left",
+     "0,1,1,left", "left,0,1,1", "left,", "inf,1,1,0,left", "1,0,1,0,left"],
+)
+def test_pair_grammar_rejects_with_spec_and_forms(text):
+    with pytest.raises(ValueError, match="bad p-set spec") as info:
+        parse_psets(text, UNIT, TWO)
+    assert repr(text) in str(info.value)
+
+
+@pytest.mark.parametrize("text", ["left", "mixed", "mixed:0.3,0.7"])
+def test_shapes_need_an_interval(text):
+    with pytest.raises(ValueError, match="raw form a,b,p,q"):
+        parse_psets(text, None)
