@@ -365,41 +365,27 @@ class _Parser:
 # }}}
 
 
-_SMOOTH_C0 = "continuous"
-_SMOOTH_C1 = "continuously_differentiable"
-
-
 @dataclass(frozen=True)
 class FuncSpec:
-    """A declared-smoothness function of one or two real variables.
+    """A function of one or two real variables, with its partials if known.
 
     ``fn`` must accept numpy arrays (broadcasting); ``partials`` holds one
-    derivative callable per variable when available.  Expression-backed
-    specs carry exact derivative trees and are always C^1 on their domain.
+    derivative callable per variable when available, and a spec with
+    partials counts as C^1.  Expression-backed specs carry exact
+    derivative trees and are always C^1 on their domain.
     """
 
     arity: int
     fn: Callable
     label: str
-    smoothness: str = _SMOOTH_C0
     partials: Optional[tuple] = None
     expr: Optional[Expr] = None
 
     def __post_init__(self) -> None:
         if self.arity not in (1, 2):
             raise ValueError(f"arity must be 1 or 2, got {self.arity!r}")
-        if self.smoothness not in (_SMOOTH_C0, _SMOOTH_C1):
-            raise ValueError(f"unknown smoothness class {self.smoothness!r}")
-        if self.smoothness == _SMOOTH_C1 and self.partials is None:
-            raise ValueError(
-                "a continuously_differentiable FuncSpec needs derivative callables"
-            )
         if self.partials is not None and len(self.partials) != self.arity:
             raise ValueError("need one partial derivative per variable")
-
-    @classmethod
-    def from_expression(cls, src: str, arity: Optional[int] = None) -> "FuncSpec":
-        return parse_expression(src, arity=arity)
 
     @classmethod
     def from_callable(
@@ -407,10 +393,9 @@ class FuncSpec:
         fn: Callable,
         arity: int,
         label: str = "<callable>",
-        smoothness: str = _SMOOTH_C0,
         partials: Optional[tuple] = None,
     ) -> "FuncSpec":
-        return cls(arity=arity, fn=fn, label=label, smoothness=smoothness, partials=partials)
+        return cls(arity=arity, fn=fn, label=label, partials=partials)
 
     def __call__(self, *coords):
         if len(coords) != self.arity:
@@ -419,7 +404,7 @@ class FuncSpec:
 
     @property
     def is_c1(self) -> bool:
-        return self.smoothness == _SMOOTH_C1
+        return self.partials is not None
 
     def partial(self, axis: int) -> Callable:
         """Derivative callable along the 1-based axis; raises if unavailable."""
@@ -427,8 +412,8 @@ class FuncSpec:
             raise ValueError(f"axis {axis} out of range for arity {self.arity}")
         if self.partials is None:
             raise ValueError(
-                f"derivative of {self.label!r} unavailable (declare it C^1 and "
-                "supply derivatives, or use an expression body)"
+                f"derivative of {self.label!r} unavailable (supply derivative "
+                "callables, or use an expression body)"
             )
         return self.partials[axis - 1]
 
@@ -462,7 +447,6 @@ class FuncSpec:
             arity=1,
             fn=fn,
             label=f"{self.label}|t{other}={fixed:g}",
-            smoothness=self.smoothness,
             partials=parts,
             expr=None,
         )
@@ -504,7 +488,6 @@ def parse_expression(src: str, arity: Optional[int] = None) -> FuncSpec:
         arity=arity,
         fn=fn,
         label=src.strip(),
-        smoothness=_SMOOTH_C1,
         partials=parts,
         expr=tree,
     )

@@ -20,11 +20,13 @@ area term, boundary term, and absolute/relative residuals.
 Implementation notes.  Area contractions apply the cached operator
 matrices of :mod:`genfrac.opmatrix`.  Every other term is an edge jump
 J(u, v; P, axis) = int [u (K_P v)]_{t=a}^{t=b} d(other axis), K_P acting
-along ``axis``; at t = a only the rightward half of K_P is live and at
-t = b only the leftward one, so each end is one convolution row.  The
-A-fields use the tested splitting A_P v = B_P v + p v(a) k(t-a) - q v(b) k(b-t)
-(differentiating numerically would lose the (t-a)**(-alpha) edge blow-up),
-and with P* = <a, b, q, p> its kernel terms are jumps too:
+along ``axis``.  K_P v at t = a and t = b is read from the two end rows
+that the operator matrix of P carries (``kop_end_rows``), applied to the
+grid of v that the check already holds, so the edge terms share the
+area term's matrices and samples.  The A-fields use the tested splitting
+A_P v = B_P v + p v(a) k(t-a) - q v(b) k(b-t) (differentiating
+numerically would lose the (t-a)**(-alpha) edge blow-up), and with
+P* = <a, b, q, p> its kernel terms are jumps too:
 
     iint eta p* g(a) k(t1-a) = int g(a) [q int_a^b k(t1-a) eta dt1] dt2
                              = int g(a) (K_{P1} eta)(a) dt2, likewise at b,
@@ -44,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .funcspec import FuncSpec
-from .opmatrix import kop_matrix
+from .opmatrix import kop_end_rows, kop_matrix
 from .pset import ParameterSet, standard_left
 from .quadrature import (
     DEFAULT_RULE,
@@ -52,7 +54,6 @@ from .quadrature import (
     QuadratureRule,
     Rectangle,
     composite_nodes,
-    convolution_rows,
 )
 from .specfun import KernelFamily, rl_family
 
@@ -205,20 +206,15 @@ def verify_ibp_2d(
     )
 
 
-def _samples(spec, axis: int, along: np.ndarray, cross: np.ndarray) -> np.ndarray:
-    """``spec`` at coordinate ``along`` on ``axis`` and ``cross`` on the other."""
-    return _grid(spec, along, cross) if axis == 1 else _grid(spec, cross, along).T
+def _edge_jump(u, V, pset, kern, rule, axis, cross, cross_weights) -> float:
+    """int [u * (K_P v)]_{t=a}^{t=b} d(cross), K_P acting along ``axis``.
 
-
-def _edge_jump(u, v, pset, kern, rule, axis, cross, cross_weights) -> float:
-    """int [u * (K_P v)]_{t=a}^{t=b} d(cross), with K_P acting along ``axis``."""
+    ``V`` is v on the mesh grid, axis 1 first.
+    """
     ends = np.array([pset.a, pset.b])
-    jump = np.zeros(cross.size)
-    for weight, live, tau, w in convolution_rows(pset, kern, ends, rule):
-        V = _samples(v, axis, tau.ravel(), cross).reshape(*tau.shape, cross.size)
-        Kv = weight * np.einsum("rm,rmc->rc", w, V)
-        jump += np.array([-1.0, 1.0])[live] @ (_samples(u, axis, ends[live], cross) * Kv)
-    return float(cross_weights @ jump)
+    U = _grid(u, ends, cross) if axis == 1 else _grid(u, cross, ends).T
+    KV = kop_end_rows(pset, kern, rule) @ (V if axis == 1 else V.T)
+    return float(np.array([-1.0, 1.0]) @ (U * KV) @ cross_weights)
 
 
 def verify_green(
@@ -262,12 +258,12 @@ def verify_green(
     # RHS area: -iint eta * (A_{P1*} g + A_{P2*} f), with A = B + kernel
     # boundary corrections (difference-kernel Leibniz rule) as edge jumps.
     area = -float(wx @ (Ez * ((K1s @ _grid(d1g, x, y)) + (_grid(d2f, x, y) @ K2s.T))) @ wy)
-    area += _edge_jump(g, eta, p1, kern, rule, 1, y, wy)
-    area += _edge_jump(f, eta, p2, kern, rule, 2, x, wx)
+    area += _edge_jump(g, Ez, p1, kern, rule, 1, y, wy)
+    area += _edge_jump(f, Ez, p2, kern, rule, 2, x, wx)
 
     # Boundary: oint eta [(K_{P1*} g) dt2 - (K_{P2*} f) dt1], counterclockwise.
-    boundary = _edge_jump(eta, g, p1s, kern, rule, 1, y, wy) + _edge_jump(
-        eta, f, p2s, kern, rule, 2, x, wx
+    boundary = _edge_jump(eta, Gz, p1s, kern, rule, 1, y, wy) + _edge_jump(
+        eta, Fz, p2s, kern, rule, 2, x, wx
     )
 
     if max(abs(lhs), abs(area), abs(boundary)) < 1e-12:

@@ -7,7 +7,10 @@ operand is interpolated panel-locally (degree order-1 Lagrange, stable
 barycentric form) from its values on the composite mesh, which turns the
 operator into a dense matrix acting on the vector of mesh values.  The
 matrix depends only on (p-set, kernel, rule), so it is assembled once
-and shared across functions, identities and refinement sweeps.
+and shared across functions, identities and refinement sweeps.  The
+same assembly adds two rows for the targets a and b, which give K_P v at
+the interval ends (:func:`kop_end_rows`); the Green check's edge terms
+read them.
 
 For polynomial operands of degree below the panel order the interpolation
 is exact; for the smooth test corpus its error is far below quadrature
@@ -23,7 +26,7 @@ from .pset import ParameterSet
 from .quadrature import QuadratureRule, composite_nodes, convolution_rows
 from .specfun import Kernel
 
-__all__ = ["kop_matrix", "clear_matrix_cache"]
+__all__ = ["kop_matrix", "kop_end_rows", "clear_matrix_cache"]
 
 _CACHE: dict = {}
 
@@ -93,18 +96,30 @@ def _assemble(
     return np.bincount(lin, weights=vals, minlength=R * N).reshape(R, N)
 
 
+def _matrices(pset: ParameterSet, kernel: Kernel, rule: QuadratureRule):
+    """The cached pair (mesh rows, end rows), assembled together on a miss."""
+    key = (pset.as_tuple(), kernel.cache_key, rule)
+    entry = _CACHE.get(key)
+    if entry is None:
+        nodes, _, edges = composite_nodes(pset.a, pset.b, rule)
+        targets = np.concatenate([nodes, [pset.a, pset.b]])
+        M = _assemble(targets, nodes, edges, rule.order_per_panel, pset, kernel, rule)
+        entry = _CACHE[key] = (M[: nodes.size], M[nodes.size :])
+    return entry
+
+
 def kop_matrix(pset: ParameterSet, kernel: Kernel, rule: QuadratureRule) -> np.ndarray:
     """Matrix M with (K v)(nodes) ~ M @ v(nodes) on the p-set's composite mesh.
 
     The mesh is ``composite_nodes(pset.a, pset.b, rule)``; results are
-    cached per (p-set, kernel identity, rule).  Kernels are identified by
-    (label, order, singularity exponent), so a kernel's label must name
-    its parameters exactly (the tempered kernel's holds ``repr(lam)``).
+    cached per (p-set, kernel identity, rule), and a cache hit returns the
+    same array object.  Kernels are identified by (label, order,
+    singularity exponent), so a kernel's label must name its parameters
+    exactly (the tempered kernel's holds ``repr(lam)``).
     """
-    key = (pset.as_tuple(), kernel.cache_key, rule)
-    M = _CACHE.get(key)
-    if M is None:
-        nodes, _, edges = composite_nodes(pset.a, pset.b, rule)
-        M = _assemble(nodes, nodes, edges, rule.order_per_panel, pset, kernel, rule)
-        _CACHE[key] = M
-    return M
+    return _matrices(pset, kernel, rule)[0]
+
+
+def kop_end_rows(pset: ParameterSet, kernel: Kernel, rule: QuadratureRule) -> np.ndarray:
+    """2 x N matrix E with ((K v)(a), (K v)(b)) ~ E @ v(nodes), same mesh and cache."""
+    return _matrices(pset, kernel, rule)[1]

@@ -98,44 +98,37 @@ def kop(req: OperatorRequest, f: FuncSpec, t: float) -> float:
     return float(_convolve_many(P, kern, req.rule, f.fn, np.array([t]))[0])
 
 
-def _fd_stencil(t: float, a: float, b: float, h: float):
-    """5-point 4th-order stencil for d/dt, shifted one-sided near endpoints."""
-    if t - 2.0 * h > a and t + 2.0 * h < b:
-        offsets = (-2.0, -1.0, 1.0, 2.0)
-        coeffs = (1.0, -8.0, 8.0, -1.0)
-    elif t - 2.0 * h <= a:
-        if not t + 4.0 * h < b:
-            raise ValueError(
-                f"interval [{a}, {b}] too small for the differentiation step h={h}"
-            )
-        offsets = (0.0, 1.0, 2.0, 3.0, 4.0)
-        coeffs = (-25.0, 48.0, -36.0, 16.0, -3.0)
-    else:
-        if not t - 4.0 * h > a:
-            raise ValueError(
-                f"interval [{a}, {b}] too small for the differentiation step h={h}"
-            )
-        offsets = (0.0, -1.0, -2.0, -3.0, -4.0)
-        coeffs = (25.0, -48.0, 36.0, -16.0, 3.0)
+def _fd_stencil(t: float, a: float, b: float):
+    """Central 5-point 4th-order stencil for d/dt at an interior t.
+
+    The step h = min(1e-4*(b-a), 1e-2*d), d = min(t-a, b-t), keeps every
+    point at least 0.98*d from the ends, so the stencil resolves the
+    (t-a)**(1-alpha)-type growth of K near an end.
+    """
+    d = min(t - a, b - t)
+    h = min(1e-4 * (b - a), 1e-2 * d)
+    offsets = (-2.0, -1.0, 1.0, 2.0)
     pts = [t + o * h for o in offsets]
-    # Far from the origin the float grid of a short interval can be coarse
-    # against h.  The derivative's relative error is then about the
-    # rounding of the sample points over h, so refuse above 1e-6 (and
-    # h = 0, which a subnormal interval length gives).
+    # Far from the origin the float grid can be coarse against h.  The
+    # derivative's relative error is then about the rounding of the sample
+    # points over h, so refuse above 1e-6 (and h = 0, which a subnormal
+    # interval length or distance to an end gives).
     if h == 0.0 or max(abs((x - t) - o * h) for x, o in zip(pts, offsets)) > 1e-6 * h:
         raise ValueError(
-            f"interval [{a}, {b}] too small for the differentiation step h={h} "
-            f"at t={t}: the sample points round by more than 1e-6*h"
+            f"differentiation step h={h} too small at t={t}, {d} from "
+            f"an end of [{a}, {b}]: the sample points round by more than 1e-6*h"
         )
-    return np.array(pts), np.array(coeffs) / (12.0 * h)
+    return np.array(pts), np.array((1.0, -8.0, 8.0, -1.0)) / (12.0 * h)
 
 
 def aop(req: OperatorRequest, f: FuncSpec, t: float) -> float:
     """Riemann-Liouville-type derivative: d/dt of the order-(1-alpha) integral.
 
     Evaluation is refused at the interval endpoints, where the derivative
-    of a generic operand blows up like (t - a)**(-alpha); the finite
-    difference stencil never touches a or b.
+    of a generic operand blows up like (t - a)**(-alpha).  Inside, a
+    central difference of K takes the derivative; its step shrinks with
+    the distance to the nearer end, and a point too close to an end for
+    the float grid to place that step is refused.
     """
     if req.kind != "A":
         raise ValueError(f"aop needs a request of kind 'A', got {req.kind!r}")
@@ -147,8 +140,7 @@ def aop(req: OperatorRequest, f: FuncSpec, t: float) -> float:
             f"derivative evaluation refused at or beyond the endpoints: t={t!r} "
             f"not interior to ({P.a!r}, {P.b!r})"
         )
-    h = 1e-4 * (P.b - P.a)
-    pts, coeffs = _fd_stencil(t, P.a, P.b, h)
+    pts, coeffs = _fd_stencil(t, P.a, P.b)
     kern = req.instantiated_kernel()
     vals = _convolve_many(P, kern, req.rule, f.fn, pts)
     return float(np.dot(coeffs, vals))

@@ -148,12 +148,11 @@ def test_from_callable_without_derivative():
 
 
 def test_c1_declaration_requires_partials():
-    with pytest.raises(ValueError):
-        FuncSpec.from_callable(lambda x: x, arity=1, smoothness="continuously_differentiable")
+    # C^1 is read from the partials, not declared
+    assert not FuncSpec.from_callable(lambda x: x, arity=1).is_c1
     ok = FuncSpec.from_callable(
         lambda x: x,
         arity=1,
-        smoothness="continuously_differentiable",
         partials=(lambda x: np.ones_like(np.asarray(x, dtype=float)),),
     )
     assert ok.is_c1

@@ -99,7 +99,7 @@ def test_aop_constant_left():
 
 
 def test_aop_linear_near_right_end():
-    # interior evaluation close to b exercises the one-sided stencil
+    # interior evaluation close to b, where the stencil's step shrinks
     val = aop(A(0.5, LEFT), IDENT, 0.99)
     oracle = euler_oracle("left", "rl_derivative", 0.5, 1.0, 0.0, 1.0, 0.99)
     assert oracle == pytest.approx(1.1227230955528665, rel=1e-12)
@@ -118,8 +118,9 @@ def test_aop_endpoint_refusal():
 
 
 def test_aop_one_sided_stencils_near_endpoints():
-    # within 2h of an endpoint the stencil shifts one-sided; pick operand
-    # sides whose convolution image is smooth there so the oracle is sharp
+    # within 0.01 of an endpoint the stencil's step shrinks with the
+    # distance to it; pick operand sides whose convolution image is smooth
+    # there so the oracle is sharp
     t_lo, t_hi = 5e-5, 1.0 - 5e-5
     fwd = aop(A(0.5, RIGHT), ONE, t_lo)
     oracle_fwd = -euler_oracle("right", "rl_derivative", 0.5, 0.0, 0.0, 1.0, t_lo)
@@ -138,6 +139,25 @@ def test_aop_interval_too_small_for_stencil():
     # a subnormal length: the step underflows to 0
     with pytest.raises(ValueError, match="too small"):
         aop(A(0.5, ParameterSet(0.0, 1e-320, 1.0, 0.0)), ONE, 5e-321)
+    # 1e-12 from the end of [1, 2]: the step 1e-14 is below the float
+    # spacing there
+    with pytest.raises(ValueError, match="too small"):
+        aop(A(0.5, ParameterSet(1.0, 2.0, 1.0, 0.0)), ONE, 1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("beta", [0, 1, 2])
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9])
+def test_aop_near_endpoints_matches_oracle(alpha, side, beta):
+    # the power of the distance to the operand's base point, evaluated
+    # 1e-8 ... 1e-2 from that point, where A grows like d**(beta-alpha)
+    base = "t" if side == "left" else "(1-t)"
+    f = parse_expression(f"{base}^{beta}", arity=1)
+    pset, sign = (LEFT, 1.0) if side == "left" else (RIGHT, -1.0)
+    for d in 10.0 ** np.arange(-8, -1):
+        t = float(d) if side == "left" else 1.0 - float(d)
+        want = sign * euler_oracle(side, "rl_derivative", alpha, beta, 0.0, 1.0, t)
+        assert aop(A(alpha, pset), f, t) == pytest.approx(want, rel=1e-6), t
 
 
 @pytest.mark.parametrize("alpha", [0.3, 0.5])
