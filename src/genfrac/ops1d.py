@@ -127,8 +127,9 @@ def aop(req: OperatorRequest, f: FuncSpec, t: float) -> float:
     Evaluation is refused at the interval endpoints, where the derivative
     of a generic operand blows up like (t - a)**(-alpha).  Inside, a
     central difference of K takes the derivative; its step shrinks with
-    the distance to the nearer end, and a point too close to an end for
-    the float grid to place that step is refused.
+    the distance to the nearer end.  A point too close to an end for the
+    float grid to place that step, or for the values of K to resolve it,
+    is refused.
     """
     if req.kind != "A":
         raise ValueError(f"aop needs a request of kind 'A', got {req.kind!r}")
@@ -143,7 +144,21 @@ def aop(req: OperatorRequest, f: FuncSpec, t: float) -> float:
     pts, coeffs = _fd_stencil(t, P.a, P.b)
     kern = req.instantiated_kernel()
     vals = _convolve_many(P, kern, req.rule, f.fn, pts)
-    return float(np.dot(coeffs, vals))
+    result = float(np.dot(coeffs, vals))
+    # Rounding in the values of K, amplified by the stencil weights.  Where
+    # the step has shrunk near an end that carries no weight, K is smooth,
+    # A stays bounded and this noise can swamp it: refuse there.  At the
+    # full step the noise is about 1e-12 of K's scale, so an A near 0
+    # inside (a symmetric p-set at its midpoint) is still returned.
+    d = min(t - P.a, P.b - t)
+    noise = np.finfo(float).eps * float(np.abs(coeffs).sum() * np.abs(vals).max())
+    if d < 1e-2 * (P.b - P.a) and noise > 1e-6 * abs(result):
+        raise ValueError(
+            f"differentiation step too small at t={t}, {d} from an end of "
+            f"[{P.a}, {P.b}]: rounding in K, {noise:.1e}, exceeds 1e-6*|A f| "
+            f"= {1e-6 * abs(result):.1e}"
+        )
+    return result
 
 
 def bop(req: OperatorRequest, f: FuncSpec, t: float) -> float:

@@ -145,19 +145,45 @@ def test_aop_interval_too_small_for_stencil():
         aop(A(0.5, ParameterSet(1.0, 2.0, 1.0, 0.0)), ONE, 1.0 + 1e-12)
 
 
+@pytest.mark.parametrize("end", ["weighted", "unweighted"])
 @pytest.mark.parametrize("beta", [0, 1, 2])
 @pytest.mark.parametrize("side", ["left", "right"])
 @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9])
-def test_aop_near_endpoints_matches_oracle(alpha, side, beta):
-    # the power of the distance to the operand's base point, evaluated
-    # 1e-8 ... 1e-2 from that point, where A grows like d**(beta-alpha)
-    base = "t" if side == "left" else "(1-t)"
+def test_aop_near_endpoints_matches_oracle(alpha, side, beta, end):
+    # the power of the distance to the operand's base point, evaluated near
+    # the end that carries the p-set's weight, 1e-8 ... 1e-2 from it (A
+    # grows like d**(beta-alpha) there), or near the end that carries none,
+    # 1e-14 ... 1e-2 from it (K is smooth there and A bounded).  The ends
+    # approached lie at 0, where the float grid resolves the operand.
+    if side == "left" and end == "unweighted":
+        a, b, pset, sign, base = -1.0, 0.0, standard_left(-1.0, 0.0), 1.0, "(t+1)"
+    elif side == "left":
+        a, b, pset, sign, base = 0.0, 1.0, LEFT, 1.0, "t"
+    else:
+        a, b, pset, sign, base = 0.0, 1.0, RIGHT, -1.0, "(1-t)"
     f = parse_expression(f"{base}^{beta}", arity=1)
-    pset, sign = (LEFT, 1.0) if side == "left" else (RIGHT, -1.0)
-    for d in 10.0 ** np.arange(-8, -1):
-        t = float(d) if side == "left" else 1.0 - float(d)
-        want = sign * euler_oracle(side, "rl_derivative", alpha, beta, 0.0, 1.0, t)
-        assert aop(A(alpha, pset), f, t) == pytest.approx(want, rel=1e-6), t
+    near_a = (side == "left") == (end == "weighted")
+    for k in range(2, 9 if end == "weighted" else 15):
+        d = 10.0 ** -k
+        t = a + d if near_a else b - d
+        want = sign * euler_oracle(side, "rl_derivative", alpha, beta, a, b, t)
+        if k > 6 and end == "unweighted":
+            # the values of K may no longer resolve the shrunken step
+            try:
+                got = aop(A(alpha, pset), f, t)
+            except ValueError as exc:
+                assert "too small" in str(exc)
+                continue
+        else:
+            got = aop(A(alpha, pset), f, t)
+        assert got == pytest.approx(want, rel=1e-6), t
+
+
+def test_aop_symmetric_midpoint_zero_is_returned():
+    # K of 1 on a symmetric p-set is even about the midpoint, so A is 0
+    # there; the full step's rounding is no reason to refuse it
+    sym = ParameterSet(0.0, 1.0, 1.0, 1.0)
+    assert abs(aop(A(0.5, sym), ONE, 0.5)) <= 1e-9
 
 
 @pytest.mark.parametrize("alpha", [0.3, 0.5])
