@@ -59,12 +59,12 @@ def iter_corpus():
 def run_corpus(rule: QuadratureRule = DEFAULT_RULE) -> dict:
     """Run both identities over the whole corpus; deterministic order."""
     rect = CORPUS_RECT
+    # One spec per distinct expression, shared by every entry that uses it.
+    texts = dict.fromkeys(text for fns in CORPUS_FUNCTIONS for text in fns.values())
+    specs = {text: parse_expression(text, arity=2) for text in texts}
     entries = []
     for fns, alpha, pspec, kspec in iter_corpus():
-        f = parse_expression(fns["f"], arity=2)
-        g = parse_expression(fns["g"], arity=2)
-        eta1 = parse_expression(fns["eta1"], arity=2)
-        eta2 = parse_expression(fns["eta2"], arity=2)
+        f, g, eta1, eta2 = (specs[fns[k]] for k in ("f", "g", "eta1", "eta2"))
         (p1,) = parse_psets(pspec, rect.axis1)
         (p2,) = parse_psets(pspec, rect.axis2)
         kernel = kernel_family_from_label(kspec)

@@ -373,6 +373,11 @@ class FuncSpec:
     derivative callable per variable when available, and a spec with
     partials counts as C^1.  Expression-backed specs carry exact
     derivative trees and are always C^1 on their domain.
+
+    ``expr``, when set, must be the tree that ``fn`` evaluates (and whose
+    derivatives ``partials`` evaluate): the identity checks cache grids
+    and moments keyed on ``(arity, expr)``, so two specs with equal trees
+    share them.  A spec without ``expr`` is never cached.
     """
 
     arity: int

@@ -17,13 +17,19 @@ derivative-type operators and picks up a boundary contour term:
 with the contour taken counterclockwise.  Both checks report left side,
 area term, boundary term, and absolute/relative residuals.
 
-Implementation notes.  Area contractions apply the cached operator
-matrices of :mod:`genfrac.opmatrix`.  Every other term is an edge jump
-J(u, v; P, axis) = int [u (K_P v)]_{t=a}^{t=b} d(other axis), K_P acting
-along ``axis``.  K_P v at t = a and t = b is read from the two end rows
-that the operator matrix of P carries (``kop_end_rows``), applied to the
-grid of v that the check already holds, so the edge terms share the
-area term's matrices and samples.  The A-fields use the tested splitting
+Implementation notes.  Every term is a Frobenius product <K, S> of an
+operator matrix K from :mod:`genfrac.opmatrix` with a moment matrix S
+that depends only on the two functions and the mesh.  For iint u (K_P v)
+with K_P acting along axis 1, S = (wx u wy) @ v.T on the grid; along
+axis 2, S = (wx u wy).T @ v.  An edge jump
+J(u, v; P, axis) = int [u (K_P v)]_{t=a}^{t=b} d(other axis) is
+<E, S_end> with E the two end rows of K_P (``kop_end_rows``) and S_end
+the same moment with u sampled at (a, b) and weighted (-1, +1) along
+``axis``.  Grids and moments are cached beside the matrices, keyed on
+the expression trees of the specs and the mesh (rectangle and rule), so
+a function quadruple checked against many orders, p-sets and kernels
+builds them once.  A spec without an expression is never cached.  The
+A-fields use the tested splitting
 A_P v = B_P v + p v(a) k(t-a) - q v(b) k(b-t) (differentiating
 numerically would lose the (t-a)**(-alpha) edge blow-up), and with
 P* = <a, b, q, p> its kernel terms are jumps too:
@@ -39,6 +45,7 @@ eta K_{P*}: boundary = J(eta, g; P1*, 1) + J(eta, f; P2*, 2).
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -46,7 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .funcspec import FuncSpec
-from .opmatrix import kop_end_rows, kop_matrix
+from .opmatrix import cached, kop_end_rows, kop_matrix
 from .pset import ParameterSet, standard_left
 from .quadrature import (
     DEFAULT_RULE,
@@ -130,7 +137,12 @@ def _make_report(identity, lhs, rhs_area, rhs_boundary, alpha, kernel_label, pse
     )
 
 
-def _check_psets(p1: ParameterSet, p2: ParameterSet, rect: Rectangle) -> None:
+def _check_inputs(specs, alpha: float, p1: ParameterSet, p2: ParameterSet, rect: Rectangle):
+    for spec in specs:
+        if spec.arity != 2:
+            raise ValueError(f"{spec.label!r} must be a two-variable function")
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
     if (p1.a, p1.b) != rect.axis1:
         raise ValueError(
             f"p-set interval [{p1.a}, {p1.b}] does not match rectangle axis 1 "
@@ -143,9 +155,10 @@ def _check_psets(p1: ParameterSet, p2: ParameterSet, rect: Rectangle) -> None:
         )
 
 
-def _grid(spec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    fn = spec.fn if isinstance(spec, FuncSpec) else spec
-    label = spec.label if isinstance(spec, FuncSpec) else "<derivative>"
+def _sample(spec: FuncSpec, deriv: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """spec, or its partial along axis ``deriv`` (0: none), on the grid x by y."""
+    fn = spec.partial(deriv) if deriv else spec.fn
+    label = "<derivative>" if deriv else spec.label
     vals = np.broadcast_to(
         np.asarray(fn(x[:, None], y[None, :]), dtype=float), (x.size, y.size)
     )
@@ -155,6 +168,54 @@ def _grid(spec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
             f"{label!r} non-finite at (t1, t2)=({float(x[i])!r}, {float(y[j])!r})"
         )
     return np.ascontiguousarray(vals)
+
+
+def _mesh(rect: Rectangle, rule: QuadratureRule):
+    x, wx, _ = composite_nodes(rect.a1, rect.b1, rule)
+    y, wy, _ = composite_nodes(rect.a2, rect.b2, rule)
+    return x, wx, y, wy
+
+
+def _spec_cached(tag, specs, rect, rule, build):
+    """Cache ``build()`` on the specs' expressions and the mesh.
+
+    ``specs`` pairs each spec with a derivative axis.  ``expr`` identifies a
+    function; a label does not, so a spec without ``expr`` is not cached.
+    """
+    if any(spec.expr is None for spec, _ in specs):
+        return cached(None, build)
+    key = tuple((spec.arity, spec.expr, deriv) for spec, deriv in specs)
+    return cached((tag, key, rect, rule), build)
+
+
+def _grid(spec: FuncSpec, rect: Rectangle, rule: QuadratureRule, deriv: int = 0):
+    x, _, y, _ = _mesh(rect, rule)
+    return _spec_cached("grid", [(spec, deriv)], rect, rule, lambda: _sample(spec, deriv, x, y))
+
+
+def _moment(axis, u, v, rect, rule, deriv=0, ends=False):
+    """S with <K_P, S> = iint u (K_P v) (or, with ``ends``, the jump J(u, v)).
+
+    K_P acts along ``axis`` and v is differentiated along ``deriv``.
+    """
+
+    def build():
+        x, wx, y, wy = _mesh(rect, rule)
+        if ends:  # u at (a, b) along ``axis``, weighted (-1, +1)
+            pts, signs = np.array(rect.axis1 if axis == 1 else rect.axis2), np.array([-1.0, 1.0])
+            x, wx, y, wy = (pts, signs, y, wy) if axis == 1 else (x, wx, pts, signs)
+        W = wx[:, None] * (_sample(u, 0, x, y) if ends else _grid(u, rect, rule)) * wy
+        V = _grid(v, rect, rule, deriv)
+        return W @ V.T if axis == 1 else W.T @ V
+
+    tag = ("jump" if ends else "moment", axis)
+    return _spec_cached(tag, [(u, 0), (v, deriv)], rect, rule, build)
+
+
+def _term(pset, kern, rect, rule, axis, u, v, deriv=0, ends=False) -> float:
+    """<K_P, S>: iint u (K_P v), or with ``ends`` the jump J(u, v; P, axis)."""
+    K = (kop_end_rows if ends else kop_matrix)(pset, kern, rule)
+    return float(np.vdot(K, _moment(axis, u, v, rect, rule, deriv, ends)))
 
 
 def verify_ibp_2d(
@@ -170,51 +231,14 @@ def verify_ibp_2d(
     rule: QuadratureRule = DEFAULT_RULE,
 ) -> VerificationReport:
     """Check the 2D integration-by-parts identity; boundary term is zero."""
-    for spec in (f, g, eta1, eta2):
-        if spec.arity != 2:
-            raise ValueError(f"{spec.label!r} must be a two-variable function")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
-    _check_psets(p1, p2, rect)
-    kern = kernel.instantiate(alpha)
-
-    x, wx, _ = composite_nodes(rect.a1, rect.b1, rule)
-    y, wy, _ = composite_nodes(rect.a2, rect.b2, rule)
-    F = _grid(f, x, y)
-    G = _grid(g, x, y)
-    E1 = _grid(eta1, x, y)
-    E2 = _grid(eta2, x, y)
-
-    K1 = kop_matrix(p1, kern, rule)
-    K2 = kop_matrix(p2, kern, rule)
-    K1s = kop_matrix(p1.dual(), kern, rule)
-    K2s = kop_matrix(p2.dual(), kern, rule)
-
-    lhs = float(wx @ (G * (K1 @ E1) + F * (E2 @ K2.T)) @ wy)
-    rhs = float(wx @ (E1 * (K1s @ G) + E2 * (F @ K2s.T)) @ wy)
-
-    return _make_report(
-        "ibp2d",
-        lhs,
-        rhs,
-        0.0,
-        alpha,
-        kernel.label,
-        (p1, p2),
-        rule,
-        {"f": f.label, "g": g.label, "eta": f"{eta1.label};{eta2.label}"},
-    )
-
-
-def _edge_jump(u, V, pset, kern, rule, axis, cross, cross_weights) -> float:
-    """int [u * (K_P v)]_{t=a}^{t=b} d(cross), K_P acting along ``axis``.
-
-    ``V`` is v on the mesh grid, axis 1 first.
-    """
-    ends = np.array([pset.a, pset.b])
-    U = _grid(u, ends, cross) if axis == 1 else _grid(u, cross, ends).T
-    KV = kop_end_rows(pset, kern, rule) @ (V if axis == 1 else V.T)
-    return float(np.array([-1.0, 1.0]) @ (U * KV) @ cross_weights)
+    _check_inputs((f, g, eta1, eta2), alpha, p1, p2, rect)
+    term = functools.partial(_term, kern=kernel.instantiate(alpha), rect=rect, rule=rule)
+    # K_{P*} is assembled on its own, never read off K_P's transpose: the
+    # residual would then vanish by construction.
+    lhs = term(p1, axis=1, u=g, v=eta1) + term(p2, axis=2, u=f, v=eta2)
+    rhs = term(p1.dual(), axis=1, u=eta1, v=g) + term(p2.dual(), axis=2, u=eta2, v=f)
+    inputs = {"f": f.label, "g": g.label, "eta": f"{eta1.label};{eta2.label}"}
+    return _make_report("ibp2d", lhs, rhs, 0.0, alpha, kernel.label, (p1, p2), rule, inputs)
 
 
 def verify_green(
@@ -229,42 +253,24 @@ def verify_green(
     rule: QuadratureRule = DEFAULT_RULE,
 ) -> VerificationReport:
     """Check the generalized Green identity (area plus contour terms)."""
-    for spec in (f, g, eta):
-        if spec.arity != 2:
-            raise ValueError(f"{spec.label!r} must be a two-variable function")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
-    _check_psets(p1, p2, rect)
+    _check_inputs((f, g, eta), alpha, p1, p2, rect)
     # C^1 hypotheses: all three operands need partial derivatives.
-    d1g, d2f = g.partial(1), f.partial(2)
-    d1e, d2e = eta.partial(1), eta.partial(2)
-    kern = kernel.instantiate(1.0 - alpha)
+    for spec, axis in ((g, 1), (f, 2), (eta, 1), (eta, 2)):
+        spec.partial(axis)
+    term = functools.partial(_term, kern=kernel.instantiate(1.0 - alpha), rect=rect, rule=rule)
     p1s, p2s = p1.dual(), p2.dual()
 
-    x, wx, _ = composite_nodes(rect.a1, rect.b1, rule)
-    y, wy, _ = composite_nodes(rect.a2, rect.b2, rule)
-    Fz = _grid(f, x, y)
-    Gz = _grid(g, x, y)
-    Ez = _grid(eta, x, y)
-
-    K1 = kop_matrix(p1, kern, rule)
-    K2 = kop_matrix(p2, kern, rule)
-    K1s = kop_matrix(p1s, kern, rule)
-    K2s = kop_matrix(p2s, kern, rule)
-
     # LHS: iint g * (B_{P1} eta) + f * (B_{P2} eta)
-    lhs = float(wx @ (Gz * (K1 @ _grid(d1e, x, y)) + Fz * (_grid(d2e, x, y) @ K2.T)) @ wy)
+    lhs = term(p1, axis=1, u=g, v=eta, deriv=1) + term(p2, axis=2, u=f, v=eta, deriv=2)
 
     # RHS area: -iint eta * (A_{P1*} g + A_{P2*} f), with A = B + kernel
     # boundary corrections (difference-kernel Leibniz rule) as edge jumps.
-    area = -float(wx @ (Ez * ((K1s @ _grid(d1g, x, y)) + (_grid(d2f, x, y) @ K2s.T))) @ wy)
-    area += _edge_jump(g, Ez, p1, kern, rule, 1, y, wy)
-    area += _edge_jump(f, Ez, p2, kern, rule, 2, x, wx)
+    area = -(term(p1s, axis=1, u=eta, v=g, deriv=1) + term(p2s, axis=2, u=eta, v=f, deriv=2))
+    area += term(p1, axis=1, u=g, v=eta, ends=True)
+    area += term(p2, axis=2, u=f, v=eta, ends=True)
 
     # Boundary: oint eta [(K_{P1*} g) dt2 - (K_{P2*} f) dt1], counterclockwise.
-    boundary = _edge_jump(eta, Gz, p1s, kern, rule, 1, y, wy) + _edge_jump(
-        eta, Fz, p2s, kern, rule, 2, x, wx
-    )
+    boundary = term(p1s, axis=1, u=eta, v=g, ends=True) + term(p2s, axis=2, u=eta, v=f, ends=True)
 
     if max(abs(lhs), abs(area), abs(boundary)) < 1e-12:
         warnings.warn(
@@ -272,17 +278,8 @@ def verify_green(
             stacklevel=2,
         )
 
-    return _make_report(
-        "green",
-        lhs,
-        area,
-        boundary,
-        alpha,
-        kernel.label,
-        (p1, p2),
-        rule,
-        {"f": f.label, "g": g.label, "eta": eta.label},
-    )
+    inputs = {"f": f.label, "g": g.label, "eta": eta.label}
+    return _make_report("green", lhs, area, boundary, alpha, kernel.label, (p1, p2), rule, inputs)
 
 
 def verify_green_rl_corollary(

@@ -12,6 +12,11 @@ same assembly adds two rows for the targets a and b, which give K_P v at
 the interval ends (:func:`kop_end_rows`); the Green check's edge terms
 read them.
 
+The matrices live in one least-recently-used cache, shared with the
+moment matrices and grids of :mod:`genfrac.identities` and bounded by
+their total bytes (``_CACHE_BYTES``).  Cached arrays are read-only, so a
+caller cannot corrupt a later check by writing into one.
+
 For polynomial operands of degree below the panel order the interpolation
 is exact; for the smooth test corpus its error is far below quadrature
 error.  The matrices agree with the direct per-point operators to that
@@ -19,6 +24,8 @@ same accuracy, which the test suite checks explicitly.
 """
 
 from __future__ import annotations
+
+from collections import OrderedDict
 
 import numpy as np
 
@@ -28,11 +35,44 @@ from .specfun import Kernel
 
 __all__ = ["kop_matrix", "kop_end_rows", "clear_matrix_cache"]
 
-_CACHE: dict = {}
+# Total bytes the shared cache keeps.  Each matrix at 512 nodes per axis
+# is 2 MiB; a research sweep over fresh orders assembles new ones on
+# every check, so an unbounded cache only grows.
+_CACHE_BYTES = 128 * 2**20
+_CACHE: OrderedDict = OrderedDict()  # key -> (value, nbytes), oldest first
+_cache_total = 0
 
 
 def clear_matrix_cache() -> None:
+    """Empty the shared cache: operator matrices, moments and grids."""
+    global _cache_total
     _CACHE.clear()
+    _cache_total = 0
+
+
+def cached(key, build):
+    """``build()``, kept in the shared cache under ``key`` unless key is None.
+
+    The value is an array or a tuple of arrays; they are made read-only.
+    The least recently used entries go when the total passes
+    ``_CACHE_BYTES``, and a value larger than that is returned but not kept.
+    """
+    global _cache_total
+    if key is not None and key in _CACHE:
+        _CACHE.move_to_end(key)
+        return _CACHE[key][0]
+    value = build()
+    arrays = value if isinstance(value, tuple) else (value,)
+    for arr in arrays:
+        arr.flags.writeable = False
+    size = sum(arr.nbytes for arr in arrays)
+    if key is not None and size <= _CACHE_BYTES:
+        _CACHE[key] = (value, size)
+        _cache_total += size
+        while _cache_total > _CACHE_BYTES:
+            _, (_, old) = _CACHE.popitem(last=False)
+            _cache_total -= old
+    return value
 
 
 def _bary_weights(nodes: np.ndarray) -> np.ndarray:
@@ -98,24 +138,25 @@ def _assemble(
 
 def _matrices(pset: ParameterSet, kernel: Kernel, rule: QuadratureRule):
     """The cached pair (mesh rows, end rows), assembled together on a miss."""
-    key = (pset.as_tuple(), kernel.cache_key, rule)
-    entry = _CACHE.get(key)
-    if entry is None:
+
+    def build():
         nodes, _, edges = composite_nodes(pset.a, pset.b, rule)
         targets = np.concatenate([nodes, [pset.a, pset.b]])
         M = _assemble(targets, nodes, edges, rule.order_per_panel, pset, kernel, rule)
-        entry = _CACHE[key] = (M[: nodes.size], M[nodes.size :])
-    return entry
+        return M[: nodes.size], M[nodes.size :]
+
+    return cached(("kop", pset.as_tuple(), kernel.cache_key, rule), build)
 
 
 def kop_matrix(pset: ParameterSet, kernel: Kernel, rule: QuadratureRule) -> np.ndarray:
     """Matrix M with (K v)(nodes) ~ M @ v(nodes) on the p-set's composite mesh.
 
-    The mesh is ``composite_nodes(pset.a, pset.b, rule)``; results are
-    cached per (p-set, kernel identity, rule), and a cache hit returns the
-    same array object.  Kernels are identified by (label, order,
-    singularity exponent), so a kernel's label must name its parameters
-    exactly (the tempered kernel's holds ``repr(lam)``).
+    The mesh is ``composite_nodes(pset.a, pset.b, rule)``.  Results are
+    kept in the one byte-bounded cache of this module, per (p-set, kernel
+    identity, rule); a cache hit returns the same read-only array object.
+    Kernels are identified by (label, order, singularity exponent), so a
+    kernel's label must name its parameters exactly (the tempered kernel's
+    holds ``repr(lam)``).
     """
     return _matrices(pset, kernel, rule)[0]
 

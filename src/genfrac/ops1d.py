@@ -118,6 +118,16 @@ def _fd_stencil(t: float, a: float, b: float):
             f"differentiation step h={h} too small at t={t}, {d} from "
             f"an end of [{a}, {b}]: the sample points round by more than 1e-6*h"
         )
+    # Next to an end e away from 0 the operand's arguments round by about
+    # eps*|e|, which the stencil turns into a relative error of A up to
+    # about 50*eps*|e|/d (measured against euler_oracle on ends from -1e3
+    # to 101, orders 0.1 to 0.99).  Refuse where twice that exceeds 1e-6.
+    end = a if t - a <= b - t else b
+    if 100.0 * np.finfo(float).eps * abs(end) > 1e-6 * d:
+        raise ValueError(
+            f"differentiation step too small at t={t}, {d} from the end {end} "
+            f"of [{a}, {b}]: rounding at that end, 100*eps*|{end}|, exceeds 1e-6*{d}"
+        )
     return np.array(pts), np.array((1.0, -8.0, 8.0, -1.0)) / (12.0 * h)
 
 
@@ -128,8 +138,9 @@ def aop(req: OperatorRequest, f: FuncSpec, t: float) -> float:
     of a generic operand blows up like (t - a)**(-alpha).  Inside, a
     central difference of K takes the derivative; its step shrinks with
     the distance to the nearer end.  A point too close to an end for the
-    float grid to place that step, or for the values of K to resolve it,
-    is refused.
+    float grid to place that step, for the rounding of the operand's
+    arguments next to an end away from 0, or for the values of K to
+    resolve it, is refused.
     """
     if req.kind != "A":
         raise ValueError(f"aop needs a request of kind 'A', got {req.kind!r}")

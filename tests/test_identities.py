@@ -15,7 +15,9 @@ from genfrac.identities import (
     verify_green_rl_corollary,
     verify_ibp_2d,
 )
-from genfrac.opmatrix import clear_matrix_cache
+from genfrac import opmatrix
+from genfrac.identities import _moment
+from genfrac.opmatrix import clear_matrix_cache, kop_end_rows, kop_matrix
 from genfrac.ops1d import OperatorRequest
 from genfrac.ops2d import PartialRequest, partial_kop
 from genfrac.pset import ParameterSet, standard_left, standard_right
@@ -352,3 +354,212 @@ def test_identities_hold_on_random_rectangles_and_psets(a1, a2, w1, w2, weights,
     f, g, eta1, eta2 = (e2(s) for s in ("t1+t2", "t1*t2", "sin(t1)*t2", "t1*cos(t2)"))
     assert verify_green(f, g, eta1, alpha, p1, p2, family, rect).rel_residual <= 1e-4
     assert verify_ibp_2d(f, g, eta1, eta2, alpha, p1, p2, family, rect).rel_residual <= 1e-5
+
+
+# -- cached grids, moments and matrices
+
+QUAD = ("exp(t1-t2)", "t2^2+1", "sin(t1)*t2", "t1*cos(t2)")
+
+
+def _terms(r):
+    return (r.lhs, r.rhs_area, r.rhs_boundary)
+
+
+def _both(specs, rect, rule, p=(0.3, 0.7), kernel=RL, alpha=0.4):
+    f, g, eta1, eta2 = specs
+    p1 = ParameterSet(rect.a1, rect.b1, *p)
+    p2 = ParameterSet(rect.a2, rect.b2, *p[::-1])
+    return (
+        _terms(verify_ibp_2d(f, g, eta1, eta2, alpha, p1, p2, kernel, rect, rule)),
+        _terms(verify_green(f, g, eta1, alpha, p1, p2, kernel, rect, rule)),
+    )
+
+
+def test_cached_terms_match_a_cold_run_on_every_mesh():
+    specs = [e2(s) for s in QUAD]
+    meshes = [
+        (rect, rule)
+        for rect in (RECT, Rectangle(-1.0, 0.5, 2.0, 3.25))
+        for rule in (QuadratureRule(order_per_panel=8, panels=4), QuadratureRule())
+    ]
+    clear_matrix_cache()
+    warm = [_both(specs, rect, rule) for rect, rule in meshes]
+    # again, from fresh specs whose expressions are equal but not identical
+    warm += [_both([e2(s) for s in QUAD], rect, rule) for rect, rule in meshes]
+    cold = []
+    for rect, rule in meshes:
+        clear_matrix_cache()
+        cold.append(_both(specs, rect, rule))
+    assert warm == cold + cold
+    assert len(set(cold)) == len(meshes)
+
+
+def test_callables_with_one_label_keep_their_own_terms():
+    def spec(src):
+        e = e2(src)
+        return FuncSpec.from_callable(e.fn, arity=2, label="u", partials=e.partials)
+
+    rule = QuadratureRule(order_per_panel=8, panels=4)
+    clear_matrix_cache()
+    first = [spec(s) for s in QUAD]
+    second = [spec(s) for s in ("t1+t2", "t1*t2", "t1^2", "t2^2")]
+    got = [_both(first, RECT, rule), _both(second, RECT, rule)]
+    want = [_both([e2(s) for s in QUAD], RECT, rule)]
+    want.append(_both([e2(s) for s in ("t1+t2", "t1*t2", "t1^2", "t2^2")], RECT, rule))
+    assert got == want
+    assert got[0] != got[1]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_nonfinite_grid_raises_on_every_call():
+    bad = e2("log(t1-0.5)")
+    args = (e2("t1"), bad, e2("t2"), e2("t1"), 0.5, LEFT1, LEFT1, RL, RECT)
+    for _ in range(2):
+        with pytest.raises(NonFiniteSampleError):
+            verify_ibp_2d(*args)
+        with pytest.raises(NonFiniteSampleError):
+            verify_green(*args[:3], *args[4:])
+
+
+@pytest.mark.parametrize("budget", [200_000, 1_000])
+def test_cache_stays_within_its_byte_budget(monkeypatch, budget):
+    rule = QuadratureRule(order_per_panel=8, panels=4)  # 32 nodes: 8 KiB a grid
+    clear_matrix_cache()
+    want = [_both([e2(s) for s in QUAD], RECT, rule, alpha=a) for a in (0.2, 0.4, 0.6)]
+    clear_matrix_cache()
+    monkeypatch.setattr(opmatrix, "_CACHE_BYTES", budget)
+    got = [_both([e2(s) for s in QUAD], RECT, rule, alpha=a) for a in (0.2, 0.4, 0.6)]
+    sizes = [size for _, size in opmatrix._CACHE.values()]
+    assert got == want
+    assert sum(sizes) == opmatrix._cache_total <= budget
+    if budget == 1_000:
+        # grids, moments and matrices are returned but not kept; one 2 x 32
+        # jump moment fits
+        assert sizes == [512]
+    clear_matrix_cache()
+
+
+def test_cached_arrays_are_read_only():
+    rule = QuadratureRule(order_per_panel=8, panels=4)
+    specs = [e2(s) for s in QUAD]
+    before = _both(specs, RECT, rule)
+    kern = RL.instantiate(0.4)
+    P = ParameterSet(0.0, 1.0, 0.3, 0.7)
+    for arr in (
+        kop_matrix(P, kern, rule),
+        kop_end_rows(P, kern, rule),
+        _moment(1, specs[1], specs[2], RECT, rule),
+        _moment(2, specs[0], specs[3], RECT, rule, ends=True),
+    ):
+        with pytest.raises(ValueError, match="read-only"):
+            arr *= 2.0
+    assert _both(specs, RECT, rule) == before
+
+
+# -- metamorphic relations of the terms, off the unit square
+
+OFF = Rectangle(-1.0, 0.5, 2.0, 3.25)
+GREEN_FNS = ("exp(t1-t2)", "t2^2+1+t1", "sin(t1)*t2+t1^2")
+
+
+def _subst(src, **repl):
+    """Replace t1 and t2 in an expression at once, e.g. t1="(3-t1)"."""
+    names = {"t1": "\0", "t2": "\1"}
+    for name, mark in names.items():
+        src = src.replace(name, mark)
+    for name, mark in names.items():
+        src = src.replace(mark, repl.get(name, name))
+    return src
+
+
+def _run(identity, fns, rect, p1w, p2w, kernel, alpha=0.4):
+    p1 = ParameterSet(rect.a1, rect.b1, *p1w)
+    p2 = ParameterSet(rect.a2, rect.b2, *p2w)
+    specs = [e2(s) for s in fns]
+    if identity == "ibp2d":
+        return np.array(_terms(verify_ibp_2d(*specs, alpha, p1, p2, kernel, rect)))
+    return np.array(_terms(verify_green(*specs, alpha, p1, p2, kernel, rect)))
+
+
+def _close(got, want, rel):
+    assert np.abs(got - want).max() <= rel * np.abs(want).max(), (got, want)
+
+
+@pytest.mark.parametrize("kernel", [RL, tempered_family(1.0)], ids=["rl", "tempered"])
+@pytest.mark.parametrize("axis", [1, 2])
+def test_terms_under_axis_reflection_with_swapped_weights(axis, kernel):
+    # t -> a + b - t along one axis, with p <-> q there.  No term of the
+    # integration by parts changes; a Green term along that axis changes
+    # sign with the derivative, one along the other axis keeps it.
+    lo, hi = (OFF.a1, OFF.b1) if axis == 1 else (OFF.a2, OFF.b2)
+    mirror = {f"t{axis}": f"({lo + hi!r}-t{axis})"}
+    w1, w2 = (0.3, 0.7), (0.8, 0.2)
+    r1, r2 = (w1[::-1], w2) if axis == 1 else (w1, w2[::-1])
+    fns = ("t1+t2", "t1*t2", "sin(t1)*t2", "t1*cos(t2)")
+    _close(
+        _run("ibp2d", [_subst(s, **mirror) for s in fns], OFF, r1, r2, kernel),
+        _run("ibp2d", fns, OFF, w1, w2, kernel),
+        1e-9,
+    )
+    # f = 0 keeps only the axis-1 terms of the Green check, g = 0 only axis 2
+    f, g, eta = GREEN_FNS
+    for fns, along in ((("0*t1", g, eta), 1), ((f, "0*t1", eta), 2)):
+        sign = -1.0 if along == axis else 1.0
+        _close(
+            _run("green", [_subst(s, **mirror) for s in fns], OFF, r1, r2, kernel),
+            sign * _run("green", fns, OFF, w1, w2, kernel),
+            1e-9,
+        )
+
+
+@pytest.mark.parametrize("identity", ["ibp2d", "green"])
+@pytest.mark.parametrize("kernel", [RL, tempered_family(1.0)], ids=["rl", "tempered"])
+def test_terms_under_translation(identity, kernel):
+    fns = ("t1+t2", "t1*t2", "sin(t1)*t2", "t1*cos(t2)")[: 4 if identity == "ibp2d" else 3]
+    c1, c2 = 2.5, -1.75
+    moved = Rectangle(OFF.a1 + c1, OFF.b1 + c1, OFF.a2 + c2, OFF.b2 + c2)
+    shifted = [_subst(s, t1=f"(t1-{c1!r})", t2=f"(t2-({c2!r}))") for s in fns]
+    _close(
+        _run(identity, shifted, moved, (0.3, 0.7), (0.8, 0.2), kernel),
+        _run(identity, fns, OFF, (0.3, 0.7), (0.8, 0.2), kernel),
+        1e-9,
+    )
+
+
+@pytest.mark.parametrize("L", [0.25, 3.0])
+@pytest.mark.parametrize("identity", ["ibp2d", "green"])
+def test_power_kernel_terms_under_rescaling(identity, L):
+    # u(t / L) on L * rect: the power kernel of order alpha scales by
+    # L**alpha and the area by L**2; the Green check's derivatives and
+    # order-(1 - alpha) kernel give L**(2 - alpha) instead
+    alpha = 0.4
+    fns = ("t1+t2", "t1*t2", "sin(t1)*t2", "t1*cos(t2)")[: 4 if identity == "ibp2d" else 3]
+    big = Rectangle(L * OFF.a1, L * OFF.b1, L * OFF.a2, L * OFF.b2)
+    scaled = [_subst(s, t1=f"(t1/{L!r})", t2=f"(t2/{L!r})") for s in fns]
+    power = 2.0 + alpha if identity == "ibp2d" else 2.0 - alpha
+    _close(
+        _run(identity, scaled, big, (0.3, 0.7), (0.8, 0.2), RL, alpha),
+        L**power * _run(identity, fns, OFF, (0.3, 0.7), (0.8, 0.2), RL, alpha),
+        1e-9,
+    )
+
+
+@pytest.mark.parametrize("identity", ["ibp2d", "green"])
+def test_terms_under_axis_transposition(identity):
+    # swap (t1, P1, g, eta1) with (t2, P2, f, eta2); the Green check's one
+    # eta is transposed in place
+    swap = {"t1": "t2", "t2": "t1"}
+    flipped = Rectangle(OFF.a2, OFF.b2, OFF.a1, OFF.b1)
+    if identity == "ibp2d":
+        f, g, eta1, eta2 = ("t1+t2^2", "t1*exp(t2)", "sin(t1)*t2", "t1*cos(t2)")
+        swapped = [_subst(s, **swap) for s in (g, f, eta2, eta1)]
+        fns = (f, g, eta1, eta2)
+    else:
+        fns = GREEN_FNS
+        f, g, eta = fns
+        swapped = [_subst(s, **swap) for s in (g, f, eta)]
+    _close(
+        _run(identity, swapped, flipped, (0.8, 0.2), (0.3, 0.7), tempered_family(1.0)),
+        _run(identity, fns, OFF, (0.3, 0.7), (0.8, 0.2), tempered_family(1.0)),
+        1e-12,
+    )

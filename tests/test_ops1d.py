@@ -18,6 +18,8 @@ HALF_POW_ORACLE = 0.79788456080286535588  # 0.5**-0.5 / gamma(0.5)
 LEFT = standard_left(0.0, 1.0)
 RIGHT = standard_right(0.0, 1.0)
 MIXED = ParameterSet(0.0, 1.0, 0.5, 0.5)
+# [0, 1] and intervals whose ends lie away from 0
+INTERVALS = ((0.0, 1.0), (-1.0, 0.0), (1.0, 2.0), (5.0, 5.01))
 RL = rl_family()
 TEMPERED = tempered_family(1.0)
 
@@ -151,32 +153,47 @@ def test_aop_interval_too_small_for_stencil():
 @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9])
 def test_aop_near_endpoints_matches_oracle(alpha, side, beta, end):
     # the power of the distance to the operand's base point, evaluated near
-    # the end that carries the p-set's weight, 1e-8 ... 1e-2 from it (A
-    # grows like d**(beta-alpha) there), or near the end that carries none,
-    # 1e-14 ... 1e-2 from it (K is smooth there and A bounded).  The ends
-    # approached lie at 0, where the float grid resolves the operand.
-    if side == "left" and end == "unweighted":
-        a, b, pset, sign, base = -1.0, 0.0, standard_left(-1.0, 0.0), 1.0, "(t+1)"
-    elif side == "left":
-        a, b, pset, sign, base = 0.0, 1.0, LEFT, 1.0, "t"
-    else:
-        a, b, pset, sign, base = 0.0, 1.0, RIGHT, -1.0, "(1-t)"
-    f = parse_expression(f"{base}^{beta}", arity=1)
-    near_a = (side == "left") == (end == "weighted")
-    for k in range(2, 9 if end == "weighted" else 15):
-        d = 10.0 ** -k
-        t = a + d if near_a else b - d
-        want = sign * euler_oracle(side, "rl_derivative", alpha, beta, a, b, t)
-        if k > 6 and end == "unweighted":
-            # the values of K may no longer resolve the shrunken step
-            try:
-                got = aop(A(alpha, pset), f, t)
-            except ValueError as exc:
-                assert "too small" in str(exc)
-                continue
+    # the end that carries the p-set's weight, 1e-2 ... 1e-10 of the
+    # interval from it (A grows like d**(beta-alpha) there), on [0, 1] and
+    # on intervals whose ends lie away from 0; or near the end that carries
+    # none, 1e-14 ... 1e-2 from it (K is smooth there and A bounded), an
+    # end at 0.  Next to an end e the operand's arguments round by about
+    # eps*|e|: a point with 100*eps*|e| > 1e-6*d must be refused (at
+    # t = -1 + 1e-9 on [-1, 0] A was 2.5e-6 off), every other point
+    # matches the oracle.
+    if end == "unweighted":
+        if side == "left":
+            cases = [(-1.0, 0.0, standard_left(-1.0, 0.0), 1.0, "(t+1)")]
         else:
-            got = aop(A(alpha, pset), f, t)
-        assert got == pytest.approx(want, rel=1e-6), t
+            cases = [(0.0, 1.0, RIGHT, -1.0, "(1-t)")]
+        ks = range(2, 15)
+    elif side == "left":
+        cases = [(a, b, standard_left(a, b), 1.0, f"(t-({a!r}))") for a, b in INTERVALS]
+        ks = range(2, 11)
+    else:
+        cases = [(a, b, standard_right(a, b), -1.0, f"({b!r}-t)") for a, b in INTERVALS]
+        ks = range(2, 11)
+    near_a = (side == "left") == (end == "weighted")
+    for a, b, pset, sign, base in cases:
+        f = parse_expression(f"{base}^{beta}", arity=1)
+        for k in ks:
+            t = a + 10.0**-k * (b - a) if near_a else b - 10.0**-k * (b - a)
+            want = sign * euler_oracle(side, "rl_derivative", alpha, beta, a, b, t)
+            d = min(t - a, b - t)
+            if 100.0 * np.finfo(float).eps * abs(a if near_a else b) > 1e-6 * d:
+                with pytest.raises(ValueError, match="too small"):
+                    aop(A(alpha, pset), f, t)
+                continue
+            if k > 6 and end == "unweighted":
+                # the values of K may no longer resolve the shrunken step
+                try:
+                    got = aop(A(alpha, pset), f, t)
+                except ValueError as exc:
+                    assert "too small" in str(exc)
+                    continue
+            else:
+                got = aop(A(alpha, pset), f, t)
+            assert got == pytest.approx(want, rel=1e-6), t
 
 
 def test_aop_symmetric_midpoint_zero_is_returned():
