@@ -10,7 +10,7 @@ grammar: numeric literals, identifiers ``t``/``t1``/``t2``, operators
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -376,8 +376,10 @@ class FuncSpec:
 
     ``expr``, when set, must be the tree that ``fn`` evaluates (and whose
     derivatives ``partials`` evaluate): the identity checks cache grids
-    and moments keyed on ``(arity, expr)``, so two specs with equal trees
-    share them.  A spec without ``expr`` is never cached.
+    and moments keyed on ``cache_key``, the text ``"arity:repr(expr)"``
+    built once here, so two specs with equal trees share them and a
+    lookup hashes a string instead of the tree.  A spec without ``expr``
+    has no key and is never cached.
     """
 
     arity: int
@@ -385,12 +387,15 @@ class FuncSpec:
     label: str
     partials: Optional[tuple] = None
     expr: Optional[Expr] = None
+    cache_key: Optional[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.arity not in (1, 2):
             raise ValueError(f"arity must be 1 or 2, got {self.arity!r}")
         if self.partials is not None and len(self.partials) != self.arity:
             raise ValueError("need one partial derivative per variable")
+        key = None if self.expr is None else f"{self.arity}:{self.expr!r}"
+        object.__setattr__(self, "cache_key", key)
 
     @classmethod
     def from_callable(

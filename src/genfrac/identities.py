@@ -25,11 +25,17 @@ axis 2, S = (wx u wy).T @ v.  An edge jump
 J(u, v; P, axis) = int [u (K_P v)]_{t=a}^{t=b} d(other axis) is
 <E, S_end> with E the two end rows of K_P (``kop_end_rows``) and S_end
 the same moment with u sampled at (a, b) and weighted (-1, +1) along
-``axis``.  Grids and moments are cached beside the matrices, keyed on
-the expression trees of the specs and the mesh (rectangle and rule), so
-a function quadruple checked against many orders, p-sets and kernels
-builds them once.  A spec without an expression is never cached.  The
-A-fields use the tested splitting
+``axis``.  K_P itself is never assembled: with L and R the matrices of
+the unweighted halves <a, b, 1, 0> and <a, b, 0, 1>, K_P = p L + q R and
+K_{P*} = q L + p R, so a term is p <L, S> + q <R, S> (a zero weight
+skips its half) and P, P* and every other p-set on the interval share
+both halves.  R comes from its own convolution rows, never from L's
+transpose, which would make the integration-by-parts residual vanish by
+construction.  Grids and moments are cached beside the matrices, keyed
+on the specs' ``cache_key`` (their expression trees) and the mesh
+(rectangle and rule), so a function quadruple checked against many
+orders, p-sets and kernels builds them once.  A spec without an
+expression is never cached.  The A-fields use the tested splitting
 A_P v = B_P v + p v(a) k(t-a) - q v(b) k(b-t) (differentiating
 numerically would lose the (t-a)**(-alpha) edge blow-up), and with
 P* = <a, b, q, p> its kernel terms are jumps too:
@@ -54,7 +60,7 @@ import numpy as np
 
 from .funcspec import FuncSpec
 from .opmatrix import cached, kop_end_rows, kop_matrix
-from .pset import ParameterSet, standard_left
+from .pset import ParameterSet, standard_left, standard_right
 from .quadrature import (
     DEFAULT_RULE,
     NonFiniteSampleError,
@@ -177,14 +183,15 @@ def _mesh(rect: Rectangle, rule: QuadratureRule):
 
 
 def _spec_cached(tag, specs, rect, rule, build):
-    """Cache ``build()`` on the specs' expressions and the mesh.
+    """Cache ``build()`` on the specs' expression keys and the mesh.
 
-    ``specs`` pairs each spec with a derivative axis.  ``expr`` identifies a
-    function; a label does not, so a spec without ``expr`` is not cached.
+    ``specs`` pairs each spec with a derivative axis.  ``cache_key``
+    identifies a function; a label does not, so a spec without one is not
+    cached.
     """
-    if any(spec.expr is None for spec, _ in specs):
+    if any(spec.cache_key is None for spec, _ in specs):
         return cached(None, build)
-    key = tuple((spec.arity, spec.expr, deriv) for spec, deriv in specs)
+    key = tuple((spec.cache_key, deriv) for spec, deriv in specs)
     return cached((tag, key, rect, rule), build)
 
 
@@ -212,10 +219,24 @@ def _moment(axis, u, v, rect, rule, deriv=0, ends=False):
     return _spec_cached(tag, [(u, 0), (v, deriv)], rect, rule, build)
 
 
-def _term(pset, kern, rect, rule, axis, u, v, deriv=0, ends=False) -> float:
-    """<K_P, S>: iint u (K_P v), or with ``ends`` the jump J(u, v; P, axis)."""
-    K = (kop_end_rows if ends else kop_matrix)(pset, kern, rule)
-    return float(np.vdot(K, _moment(axis, u, v, rect, rule, deriv, ends)))
+def _sides(pset: ParameterSet):
+    """K_P and K_{P*} as weighted halves, ((weight, half), (weight, half)) each.
+
+    The halves are the unweighted p-sets <a, b, 1, 0> and <a, b, 0, 1>.
+    """
+    left, right = standard_left(pset.a, pset.b), standard_right(pset.a, pset.b)
+    return ((pset.p, left), (pset.q, right)), ((pset.q, left), (pset.p, right))
+
+
+def _term(halves, kern, rect, rule, axis, u, v, deriv=0, ends=False) -> float:
+    """Sum of w <K_half, S>: iint u (K_P v), or with ``ends`` the jump J(u, v; P, axis)."""
+    S = _moment(axis, u, v, rect, rule, deriv, ends)
+    total = 0.0
+    for weight, half in halves:
+        if weight != 0.0:
+            K = (kop_end_rows if ends else kop_matrix)(half, kern, rule)
+            total += weight * float(np.vdot(K, S))
+    return total
 
 
 def verify_ibp_2d(
@@ -233,10 +254,11 @@ def verify_ibp_2d(
     """Check the 2D integration-by-parts identity; boundary term is zero."""
     _check_inputs((f, g, eta1, eta2), alpha, p1, p2, rect)
     term = functools.partial(_term, kern=kernel.instantiate(alpha), rect=rect, rule=rule)
-    # K_{P*} is assembled on its own, never read off K_P's transpose: the
+    (k1, k1s), (k2, k2s) = _sides(p1), _sides(p2)
+    # K_{P*} weights the same two halves, never K_P's transpose: the
     # residual would then vanish by construction.
-    lhs = term(p1, axis=1, u=g, v=eta1) + term(p2, axis=2, u=f, v=eta2)
-    rhs = term(p1.dual(), axis=1, u=eta1, v=g) + term(p2.dual(), axis=2, u=eta2, v=f)
+    lhs = term(k1, axis=1, u=g, v=eta1) + term(k2, axis=2, u=f, v=eta2)
+    rhs = term(k1s, axis=1, u=eta1, v=g) + term(k2s, axis=2, u=eta2, v=f)
     inputs = {"f": f.label, "g": g.label, "eta": f"{eta1.label};{eta2.label}"}
     return _make_report("ibp2d", lhs, rhs, 0.0, alpha, kernel.label, (p1, p2), rule, inputs)
 
@@ -258,19 +280,19 @@ def verify_green(
     for spec, axis in ((g, 1), (f, 2), (eta, 1), (eta, 2)):
         spec.partial(axis)
     term = functools.partial(_term, kern=kernel.instantiate(1.0 - alpha), rect=rect, rule=rule)
-    p1s, p2s = p1.dual(), p2.dual()
+    (k1, k1s), (k2, k2s) = _sides(p1), _sides(p2)
 
     # LHS: iint g * (B_{P1} eta) + f * (B_{P2} eta)
-    lhs = term(p1, axis=1, u=g, v=eta, deriv=1) + term(p2, axis=2, u=f, v=eta, deriv=2)
+    lhs = term(k1, axis=1, u=g, v=eta, deriv=1) + term(k2, axis=2, u=f, v=eta, deriv=2)
 
     # RHS area: -iint eta * (A_{P1*} g + A_{P2*} f), with A = B + kernel
     # boundary corrections (difference-kernel Leibniz rule) as edge jumps.
-    area = -(term(p1s, axis=1, u=eta, v=g, deriv=1) + term(p2s, axis=2, u=eta, v=f, deriv=2))
-    area += term(p1, axis=1, u=g, v=eta, ends=True)
-    area += term(p2, axis=2, u=f, v=eta, ends=True)
+    area = -(term(k1s, axis=1, u=eta, v=g, deriv=1) + term(k2s, axis=2, u=eta, v=f, deriv=2))
+    area += term(k1, axis=1, u=g, v=eta, ends=True)
+    area += term(k2, axis=2, u=f, v=eta, ends=True)
 
     # Boundary: oint eta [(K_{P1*} g) dt2 - (K_{P2*} f) dt1], counterclockwise.
-    boundary = term(p1s, axis=1, u=eta, v=g, ends=True) + term(p2s, axis=2, u=eta, v=f, ends=True)
+    boundary = term(k1s, axis=1, u=eta, v=g, ends=True) + term(k2s, axis=2, u=eta, v=f, ends=True)
 
     if max(abs(lhs), abs(area), abs(boundary)) < 1e-12:
         warnings.warn(

@@ -12,6 +12,14 @@ same assembly adds two rows for the targets a and b, which give K_P v at
 the interval ends (:func:`kop_end_rows`); the Green check's edge terms
 read them.
 
+The matrix is linear in the weights: K_<a,b,p,q> = p L + q R, with L and
+R the matrices of the unweighted halves <a, b, 1, 0> and <a, b, 0, 1>
+(equal up to rounding, which the test suite checks).  The identity
+checks therefore ask only for L and R, so a p-set, its dual and every
+other p-set on the interval share two cached matrices.  Each half comes
+from its own convolution rows; R is not L mirrored, since the graded
+mesh need not be symmetric.
+
 The matrices live in one least-recently-used cache, shared with the
 moment matrices and grids of :mod:`genfrac.identities` and bounded by
 their total bytes (``_CACHE_BYTES``).  Cached arrays are read-only, so a

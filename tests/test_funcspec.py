@@ -1,5 +1,7 @@
 """Expression mini-language: parsing, evaluation, derivatives, round-trips."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -156,3 +158,18 @@ def test_c1_declaration_requires_partials():
         partials=(lambda x: np.ones_like(np.asarray(x, dtype=float)),),
     )
     assert ok.is_c1
+
+
+def test_cache_key_names_the_tree_and_arity():
+    same = [parse_expression(s, arity=2) for s in ("sin(t1)*t2", " sin( t1 ) * t2 ")]
+    assert same[0].cache_key == same[1].cache_key
+    assert same[0].cache_key is not None
+    distinct = [
+        parse_expression(s, arity=2)
+        for s in ("t1*t2", "t2*t1", "t1*t2+0", "1", "1.0000000000000002", "sin(t1)", "cos(t1)")
+    ]
+    distinct.append(parse_expression("1", arity=1))
+    assert len({spec.cache_key for spec in distinct}) == len(distinct)
+    # a rebuilt spec (e.g. with a wrapped fn) keeps the key of its tree
+    assert dataclasses.replace(same[0], fn=lambda x, y: x).cache_key == same[0].cache_key
+    assert FuncSpec.from_callable(lambda x, y: x * y, arity=2).cache_key is None

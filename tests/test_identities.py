@@ -15,7 +15,7 @@ from genfrac.identities import (
     verify_green_rl_corollary,
     verify_ibp_2d,
 )
-from genfrac import opmatrix
+from genfrac import identities, opmatrix
 from genfrac.identities import _moment
 from genfrac.opmatrix import clear_matrix_cache, kop_end_rows, kop_matrix
 from genfrac.ops1d import OperatorRequest
@@ -456,6 +456,68 @@ def test_cached_arrays_are_read_only():
     assert _both(specs, RECT, rule) == before
 
 
+def _kop_psets():
+    return sorted(key[1] for key in opmatrix._CACHE if key[0] == "kop")
+
+
+UNIT_HALVES = [(0.0, 1.0, 0.0, 1.0), (0.0, 1.0, 1.0, 0.0)]  # right, left of [0, 1]
+
+
+@pytest.mark.parametrize("identity", ["ibp2d", "green"])
+def test_every_pset_on_the_interval_shares_the_two_halves(identity):
+    rule = QuadratureRule(order_per_panel=8, panels=4)
+    specs = [e2(s) for s in QUAD]
+
+    def check(w1, w2):
+        p1, p2 = ParameterSet(0.0, 1.0, *w1), ParameterSet(0.0, 1.0, *w2)
+        if identity == "ibp2d":
+            return verify_ibp_2d(*specs, 0.4, p1, p2, RL, RECT, rule)
+        return verify_green(*specs[:3], 0.4, p1, p2, RL, RECT, rule)
+
+    clear_matrix_cache()
+    check((0.3, 0.7), (0.5, 0.5))
+    assert _kop_psets() == UNIT_HALVES
+    # a left p-set's dual is a right one, so a left check needs both halves
+    clear_matrix_cache()
+    check((1.0, 0.0), (1.0, 0.0))
+    assert _kop_psets() == UNIT_HALVES
+    for w1, w2 in (((0.0, 1.0), (0.0, 1.0)), ((0.3, 0.7), (0.5, 0.5)), ((2.0, -0.5), (0.8, 0.2))):
+        check(w1, w2)
+    assert _kop_psets() == UNIT_HALVES
+    clear_matrix_cache()
+
+
+def test_a_zero_weight_skips_its_half(monkeypatch):
+    fetched = []
+
+    def spy(pset, kern, rule):
+        fetched.append(pset.as_tuple())
+        return kop_matrix(pset, kern, rule)
+
+    monkeypatch.setattr(identities, "kop_matrix", spy)
+    rule = QuadratureRule(order_per_panel=8, panels=4)
+    specs = [e2(s) for s in QUAD]
+    right, left = UNIT_HALVES
+    # lhs terms weight K_P, rhs terms K_{P*}; one term per axis and side
+    verify_ibp_2d(*specs, 0.4, LEFT1, LEFT1, RL, RECT, rule)
+    assert fetched == [left, left, right, right]
+    fetched.clear()
+    mixed = ParameterSet(0.0, 1.0, 0.3, 0.7)
+    verify_ibp_2d(*specs, 0.4, mixed, mixed, RL, RECT, rule)
+    assert fetched == [left, right] * 4
+
+
+def test_fresh_specs_of_the_same_texts_add_no_grids_or_moments():
+    rule = QuadratureRule(order_per_panel=8, panels=4)
+    clear_matrix_cache()
+    first = _both([e2(s) for s in QUAD], RECT, rule)
+    keys = set(opmatrix._CACHE)
+    assert any(key[0] == "grid" for key in keys)
+    assert _both([e2(s) for s in QUAD], RECT, rule) == first
+    assert set(opmatrix._CACHE) == keys
+    clear_matrix_cache()
+
+
 # -- metamorphic relations of the terms, off the unit square
 
 OFF = Rectangle(-1.0, 0.5, 2.0, 3.25)
@@ -563,3 +625,16 @@ def test_terms_under_axis_transposition(identity):
         _run(identity, fns, OFF, (0.3, 0.7), (0.8, 0.2), tempered_family(1.0)),
         1e-12,
     )
+
+
+@pytest.mark.parametrize("kernel", [RL, tempered_family(1.0)], ids=["rl", "tempered"])
+def test_mixed_ibp_residual_is_small_but_not_zero(kernel):
+    # Each half is assembled from its own convolution rows.  Read off the
+    # other half's transpose, the residual would vanish by construction;
+    # mirrored from it, it would be large, since the 7-panel mesh is not
+    # symmetric.
+    rule = QuadratureRule(order_per_panel=8, panels=7)
+    p1 = ParameterSet(OFF.a1, OFF.b1, 0.3, 0.7)
+    p2 = ParameterSet(OFF.a2, OFF.b2, 0.8, 0.2)
+    r = verify_ibp_2d(*[e2(s) for s in QUAD], 0.4, p1, p2, kernel, OFF, rule)
+    assert 1e-12 < r.rel_residual < 1e-5
