@@ -25,6 +25,17 @@ moment matrices and grids of :mod:`genfrac.identities` and bounded by
 their total bytes (``_CACHE_BYTES``).  Cached arrays are read-only, so a
 caller cannot corrupt a later check by writing into one.
 
+Assembly handles one panel at a time.  The quadrature points that fall
+in a panel are sorted together (stably, so each target's points stay in
+one run) and go through the second form in a few whole-array passes:
+the terms b_j / (t - x_j) in place, their sum, and one multiply by
+w / sum, which folds the quadrature weight w into the normaliser.  A
+point exactly on a node, whose sum is infinite, is set to w at that node
+afterwards; a row that is non-finite for any other reason stays so.
+Each target's run is then summed into its row.  The barycentric weights
+b_j come from node differences scaled by a power of two near the panel's
+span, so they stay finite on intervals of any width.
+
 For polynomial operands of degree below the panel order the interpolation
 is exact; for the smooth test corpus its error is far below quadrature
 error.  The matrices agree with the direct per-point operators to that
@@ -83,23 +94,19 @@ def cached(key, build):
     return value
 
 
-def _bary_weights(nodes: np.ndarray) -> np.ndarray:
-    d = nodes[:, None] - nodes[None, :]
-    np.fill_diagonal(d, 1.0)
-    return 1.0 / d.prod(axis=1)
+def _bary_weights(panels: np.ndarray) -> np.ndarray:
+    """Barycentric weights 1 / prod_k (x_j - x_k), one row per panel.
 
-
-def _lagrange_rows(points: np.ndarray, nodes: np.ndarray, bw: np.ndarray) -> np.ndarray:
-    """Barycentric Lagrange basis values, one row per evaluation point."""
-    diff = points[:, None] - nodes[None, :]
-    exact = diff == 0.0
-    diff = np.where(exact, 1.0, diff)
-    terms = bw[None, :] / diff
-    rows = terms / terms.sum(axis=1)[:, None]
-    hit = exact.any(axis=1)
-    if hit.any():
-        rows[hit] = exact[hit].astype(float)
-    return rows
+    The differences are first divided by a power of two near the panel's
+    node span, so that the product neither underflows nor overflows on a
+    tiny panel.  The factor is common to a panel's weights and cancels in
+    the second form; being a power of two, it cancels exactly.
+    """
+    _, span_exp = np.frexp(panels[:, -1] - panels[:, 0])
+    d = np.ldexp(panels[:, :, None] - panels[:, None, :], -span_exp[:, None, None])
+    j = np.arange(panels.shape[1])
+    d[:, j, j] = 1.0
+    return 1.0 / d.prod(axis=2)
 
 
 def _assemble(
@@ -111,37 +118,43 @@ def _assemble(
     kernel: Kernel,
     rule: QuadratureRule,
 ) -> np.ndarray:
-    R = targets.size
-    N = mesh_nodes.size
     npan = mesh_edges.size - 1
-    bws = [_bary_weights(mesh_nodes[ip * order : (ip + 1) * order]) for ip in range(npan)]
-    idx_chunks: list[np.ndarray] = []
-    val_chunks: list[np.ndarray] = []
+    panels = mesh_nodes.reshape(npan, order)
+    bws = _bary_weights(panels)
+    out = np.zeros((targets.size, npan, order))
     for weight, live, tau, w in convolution_rows(pset, kernel, targets, rule):
-        rows = np.repeat(np.flatnonzero(live), tau.shape[1])
         tau_f = tau.ravel()
-        w_f = weight * w.ravel()
         pan = np.clip(np.searchsorted(mesh_edges, tau_f, side="right") - 1, 0, npan - 1)
+        # stable, so each panel's points keep their row-major order: the
+        # rows in a panel group are nondecreasing and their runs unique
         srt = np.argsort(pan, kind="stable")
-        pan_s = pan[srt]
-        bounds = np.searchsorted(pan_s, np.arange(npan + 1))
+        bounds = np.searchsorted(pan[srt], np.arange(npan + 1))
+        rows = np.flatnonzero(live)[srt // tau.shape[1]]
+        tau_s = tau_f[srt]
+        w_s = weight * w.ravel()[srt]
         for ip in range(npan):
             lo, hi = bounds[ip], bounds[ip + 1]
             if lo == hi:
                 continue
-            sel = srt[lo:hi]
-            nd = mesh_nodes[ip * order : (ip + 1) * order]
-            lag = _lagrange_rows(tau_f[sel], nd, bws[ip])
-            vals = w_f[sel][:, None] * lag
-            cols = ip * order + np.arange(order)
-            lin = rows[sel][:, None] * N + cols[None, :]
-            idx_chunks.append(lin.ravel())
-            val_chunks.append(vals.ravel())
-    if not idx_chunks:
-        return np.zeros((R, N))
-    lin = np.concatenate(idx_chunks)
-    vals = np.concatenate(val_chunks)
-    return np.bincount(lin, weights=vals, minlength=R * N).reshape(R, N)
+            t, nodes = tau_s[lo:hi], panels[ip, :, None]
+            # w l_j(t) = (bw_j / (t - x_j)) * w / total, one column per
+            # point so that every pass runs along the points
+            with np.errstate(divide="ignore", invalid="ignore"):
+                terms = t - nodes
+                np.divide(bws[ip, :, None], terms, out=terms)
+                total = terms.sum(axis=0)
+                terms *= w_s[lo:hi] / total
+            # t on a node gives an infinite total; every other non-finite
+            # column stays so, for the report's finiteness check
+            bad = np.flatnonzero(~np.isfinite(total))
+            if bad.size:
+                exact = t[bad] == nodes
+                hit = exact.any(axis=0)
+                terms[:, bad[hit]] = w_s[lo + bad[hit]] * exact[:, hit]
+            r = rows[lo:hi]
+            starts = np.flatnonzero(np.concatenate(([True], r[1:] != r[:-1])))
+            out[r[starts], ip] += np.add.reduceat(terms, starts, axis=1).T
+    return out.reshape(targets.size, npan * order)
 
 
 def _matrices(pset: ParameterSet, kernel: Kernel, rule: QuadratureRule):

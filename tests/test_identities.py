@@ -203,6 +203,19 @@ def test_identities_off_unit_rectangle():
     assert abs(gr.rhs_boundary) > 0.1  # the contour term carries real weight here
 
 
+@pytest.mark.filterwarnings("ignore:all three identity terms")
+def test_green_on_a_tiny_rectangle_is_finite_at_every_mesh():
+    # at 16x32 the end panels are ~3e-19 wide; the barycentric weights
+    # of unscaled node differences overflowed there
+    W = 1e-11
+    P = ParameterSet(0.0, W, 0.3, 0.7)
+    args = (e2("1+t1"), e2("t1*t2"), e2("1+t2"), 0.5, P, P, RL, Rectangle(0.0, W, 0.0, W))
+    coarse, fine = (verify_green(*args, QuadratureRule(panels=n)) for n in (8, 32))
+    assert all(np.isfinite(_terms(fine)))
+    scale = abs(coarse.rhs_area)
+    assert _terms(fine) == pytest.approx(_terms(coarse), rel=1e-9, abs=1e-9 * scale)
+
+
 def test_corollary_matches_green_term_by_term():
     for fns in (("t1+t2", "t1*t2", "sin(t1)*t2"), ("exp(t1-t2)", "t2^2+1", "t1^2*t2")):
         for alpha in (0.25, 0.75):

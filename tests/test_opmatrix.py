@@ -1,13 +1,19 @@
 """Operator matrices: the end rows against the direct per-point operator,
-and K_P as the weighted sum of its two unweighted halves."""
+K_P as the weighted sum of its two unweighted halves, the halves against
+the Riemann-Liouville closed form on any scale, and quadrature points that
+land exactly on a mesh node."""
 
+import math
+import warnings
+
+import numpy as np
 import pytest
 
 from genfrac.funcspec import parse_expression
-from genfrac.opmatrix import kop_end_rows, kop_matrix
+from genfrac.opmatrix import clear_matrix_cache, kop_end_rows, kop_matrix
 from genfrac.ops1d import OperatorRequest, kop
 from genfrac.pset import ParameterSet, standard_left, standard_right
-from genfrac.quadrature import QuadratureRule, composite_nodes
+from genfrac.quadrature import QuadratureRule, composite_nodes, convolution_rows
 from genfrac.specfun import rl_family, tempered_family
 
 RULE = QuadratureRule()
@@ -53,3 +59,69 @@ def test_kop_is_the_weighted_sum_of_its_halves(kernel, interval, weights):
     for fetch in (kop_matrix, kop_end_rows):
         L, R = fetch(left, kern, RULE), fetch(right, kern, RULE)
         assert abs(fetch(P, kern, RULE) - (p * L + q * R)).max() <= 1e-14 * abs(L).max()
+
+
+def _half_on_powers(side, alpha, a, b, panels):
+    """All N+2 rows of an unweighted RL half on v = (d/W)**beta, with the
+    exact values Gamma(beta+1)/Gamma(beta+alpha+1) (d/W)**beta d**alpha,
+    for each beta; d is the distance to the half's lower limit (t - a on
+    the left, b - t on the right) and W = b - a."""
+    rule = RULE.with_panels(panels)
+    nodes, _, _ = composite_nodes(a, b, rule)
+    P = standard_left(a, b) if side == "left" else standard_right(a, b)
+    kern = rl_family().instantiate(alpha)
+    M = np.vstack([kop_matrix(P, kern, rule), kop_end_rows(P, kern, rule)])
+    t = np.concatenate([nodes, [a, b]])
+    d = t - a if side == "left" else b - t
+    W = b - a
+    for beta in (0.0, 1.0, 2.0, 5.0):
+        exact = math.gamma(beta + 1) / math.gamma(beta + alpha + 1) * (d / W) ** beta * d**alpha
+        yield M, M @ (d[:-2] / W) ** beta, exact
+
+
+@pytest.mark.parametrize("panels", [8, 32])
+@pytest.mark.parametrize("interval", [(0.0, 1.0), (5.0, 5.01), (-1000.0, -999.0)])
+@pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9])
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_halves_match_the_rl_closed_form(side, alpha, interval, panels):
+    # worst seen 1.8e-13 of the max and 7.0e-5 pointwise, next to the
+    # unweighted end, where graded panels are narrowest and the rounded
+    # mesh nodes are the ones to interpolate at
+    for _, got, exact in _half_on_powers(side, alpha, *interval, panels):
+        assert abs(got - exact).max() <= 1e-12 * abs(exact).max()
+        pos = exact > 0
+        assert (abs(got - exact)[pos] / exact[pos]).max() <= 1e-3
+
+
+@pytest.mark.parametrize("width", [1e-9, 1e-11, 1e-13])
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_halves_stay_finite_and_exact_on_tiny_intervals(side, width):
+    # end panels are ~3e-8 of the width here, so unscaled node differences
+    # multiply out past the range of a double
+    for M, got, exact in _half_on_powers(side, 0.5, 0.0, width, 32):
+        assert np.isfinite(M).all()
+        assert abs(got - exact).max() <= 1e-13 * abs(exact).max()
+
+
+@pytest.mark.parametrize("interval", [(5.0, 5.01), (-1000.0, -999.0), (1e4, 1e4 + 1.0)])
+def test_quadrature_points_on_a_mesh_node(interval):
+    # off the origin, some rounded points t -/+ u of the 16x32 rule equal a
+    # mesh node exactly, where the second form divides by zero
+    a, b = interval
+    kern = rl_family().instantiate(0.4)
+    rule = RULE.with_panels(32)
+    nodes, _, _ = composite_nodes(a, b, rule)
+    v = parse_expression(f"1+((t-{a!r})/{b - a!r})^3", arity=1)
+    clear_matrix_cache()
+    for P in (standard_left(a, b), standard_right(a, b)):
+        ((_, live, tau, _),) = convolution_rows(P, kern, nodes, rule)
+        rows = np.flatnonzero(live)[np.isin(tau, nodes).any(axis=1)]
+        assert rows.size > 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            M, E = kop_matrix(P, kern, rule), kop_end_rows(P, kern, rule)
+        assert np.isfinite(M).all() and np.isfinite(E).all()
+        req = OperatorRequest("K", 0.4, P, rl_family(), rule)
+        vn = v(nodes)
+        for i in rows[np.linspace(0, rows.size - 1, 12).astype(int)]:
+            assert abs(M[i] @ vn - kop(req, v, nodes[i])) <= 1e-12 * (abs(M[i]) @ abs(vn))
