@@ -31,7 +31,11 @@ K_{P*} = q L + p R, so a term is p <L, S> + q <R, S> (a zero weight
 skips its half) and P, P* and every other p-set on the interval share
 both halves.  R comes from its own convolution rows, never from L's
 transpose, which would make the integration-by-parts residual vanish by
-construction.  Grids and moments are cached beside the matrices, keyed
+construction.  A check first starts the halves that its terms need
+(``opmatrix.assembling``), then builds all of its moment matrices while
+the assembly worker thread fills the halves, and then contracts; its
+first ``kop_matrix`` or ``kop_end_rows`` call for a half waits for that
+half.  Grids and moments are cached beside the matrices, keyed
 on the specs' ``cache_key`` (their expression trees) and the mesh
 (rectangle and rule), so a function quadruple checked against many
 orders, p-sets and kernels builds them once.  A spec without an
@@ -51,7 +55,6 @@ eta K_{P*}: boundary = J(eta, g; P1*, 1) + J(eta, f; P2*, 2).
 from __future__ import annotations
 
 import dataclasses
-import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -59,7 +62,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .funcspec import FuncSpec
-from .opmatrix import cached, kop_end_rows, kop_matrix
+from .opmatrix import assembling, cached, kop_end_rows, kop_matrix
 from .pset import ParameterSet, standard_left, standard_right
 from .quadrature import (
     DEFAULT_RULE,
@@ -78,9 +81,6 @@ __all__ = [
     "convergence_study",
     "reports_to_csv",
 ]
-
-_RESIDUAL_FLOOR = 1e-14
-
 
 @dataclass(frozen=True)
 class VerificationReport:
@@ -120,9 +120,9 @@ class VerificationReport:
 
 def _make_report(identity, lhs, rhs_area, rhs_boundary, alpha, kernel_label, psets, rule, inputs):
     abs_residual = abs(lhs - (rhs_area + rhs_boundary))
-    rel_residual = abs_residual / max(
-        abs(lhs), abs(rhs_area) + abs(rhs_boundary), _RESIDUAL_FLOOR
-    )
+    # relative to the terms at any scale; 0 only when all three are 0
+    scale = max(abs(lhs), abs(rhs_area) + abs(rhs_boundary))
+    rel_residual = abs_residual / scale if scale else 0.0
     if not all(map(math.isfinite, (lhs, rhs_area, rhs_boundary, abs_residual, rel_residual))):
         raise NonFiniteSampleError(
             f"{identity} check is non-finite: lhs={lhs!r}, rhs_area={rhs_area!r}, "
@@ -220,23 +220,36 @@ def _moment(axis, u, v, rect, rule, deriv=0, ends=False):
 
 
 def _sides(pset: ParameterSet):
-    """K_P and K_{P*} as weighted halves, ((weight, half), (weight, half)) each.
+    """K_P and K_{P*} as weighted halves, ((weight, half), (weight, half)) each,
+    and the halves that the two need.
 
     The halves are the unweighted p-sets <a, b, 1, 0> and <a, b, 0, 1>.
     """
     left, right = standard_left(pset.a, pset.b), standard_right(pset.a, pset.b)
-    return ((pset.p, left), (pset.q, right)), ((pset.q, left), (pset.p, right))
+    needed = (left, right) if pset.p or pset.q else ()
+    return ((pset.p, left), (pset.q, right)), ((pset.q, left), (pset.p, right)), needed
 
 
-def _term(halves, kern, rect, rule, axis, u, v, deriv=0, ends=False) -> float:
-    """Sum of w <K_half, S>: iint u (K_P v), or with ``ends`` the jump J(u, v; P, axis)."""
-    S = _moment(axis, u, v, rect, rule, deriv, ends)
-    total = 0.0
-    for weight, half in halves:
-        if weight != 0.0:
-            K = (kop_end_rows if ends else kop_matrix)(half, kern, rule)
-            total += weight * float(np.vdot(K, S))
-    return total
+def _terms(kern, rect, rule, needed, *specs) -> list[float]:
+    """Each ``(halves, axis, u, v, deriv, ends)`` of ``specs`` as a sum of w <K_half, S>.
+
+    That is iint u (K_P v), or with ``ends`` the jump J(u, v; P, axis).
+    The worker thread assembles the ``needed`` halves while this one
+    builds the moments; the contractions then wait for them.
+    """
+    with assembling(needed, kern, rule):
+        moments = [
+            _moment(axis, u, v, rect, rule, deriv, ends) for _, axis, u, v, deriv, ends in specs
+        ]
+        values = []
+        for (halves, _, _, _, _, ends), S in zip(specs, moments):
+            total = 0.0
+            for weight, half in halves:
+                if weight != 0.0:
+                    K = (kop_end_rows if ends else kop_matrix)(half, kern, rule)
+                    total += weight * float(np.vdot(K, S))
+            values.append(total)
+    return values
 
 
 def verify_ibp_2d(
@@ -253,12 +266,21 @@ def verify_ibp_2d(
 ) -> VerificationReport:
     """Check the 2D integration-by-parts identity; boundary term is zero."""
     _check_inputs((f, g, eta1, eta2), alpha, p1, p2, rect)
-    term = functools.partial(_term, kern=kernel.instantiate(alpha), rect=rect, rule=rule)
-    (k1, k1s), (k2, k2s) = _sides(p1), _sides(p2)
+    (k1, k1s, h1), (k2, k2s, h2) = _sides(p1), _sides(p2)
     # K_{P*} weights the same two halves, never K_P's transpose: the
     # residual would then vanish by construction.
-    lhs = term(k1, axis=1, u=g, v=eta1) + term(k2, axis=2, u=f, v=eta2)
-    rhs = term(k1s, axis=1, u=eta1, v=g) + term(k2s, axis=2, u=eta2, v=f)
+    lhs1, lhs2, rhs1, rhs2 = _terms(
+        kernel.instantiate(alpha),
+        rect,
+        rule,
+        h1 + h2,
+        (k1, 1, g, eta1, 0, False),
+        (k2, 2, f, eta2, 0, False),
+        (k1s, 1, eta1, g, 0, False),
+        (k2s, 2, eta2, f, 0, False),
+    )
+    lhs = lhs1 + lhs2
+    rhs = rhs1 + rhs2
     inputs = {"f": f.label, "g": g.label, "eta": f"{eta1.label};{eta2.label}"}
     return _make_report("ibp2d", lhs, rhs, 0.0, alpha, kernel.label, (p1, p2), rule, inputs)
 
@@ -279,20 +301,33 @@ def verify_green(
     # C^1 hypotheses: all three operands need partial derivatives.
     for spec, axis in ((g, 1), (f, 2), (eta, 1), (eta, 2)):
         spec.partial(axis)
-    term = functools.partial(_term, kern=kernel.instantiate(1.0 - alpha), rect=rect, rule=rule)
-    (k1, k1s), (k2, k2s) = _sides(p1), _sides(p2)
+    (k1, k1s, h1), (k2, k2s, h2) = _sides(p1), _sides(p2)
+    lhs1, lhs2, area1, area2, jump1, jump2, edge1, edge2 = _terms(
+        kernel.instantiate(1.0 - alpha),
+        rect,
+        rule,
+        h1 + h2,
+        (k1, 1, g, eta, 1, False),
+        (k2, 2, f, eta, 2, False),
+        (k1s, 1, eta, g, 1, False),
+        (k2s, 2, eta, f, 2, False),
+        (k1, 1, g, eta, 0, True),
+        (k2, 2, f, eta, 0, True),
+        (k1s, 1, eta, g, 0, True),
+        (k2s, 2, eta, f, 0, True),
+    )
 
     # LHS: iint g * (B_{P1} eta) + f * (B_{P2} eta)
-    lhs = term(k1, axis=1, u=g, v=eta, deriv=1) + term(k2, axis=2, u=f, v=eta, deriv=2)
+    lhs = lhs1 + lhs2
 
     # RHS area: -iint eta * (A_{P1*} g + A_{P2*} f), with A = B + kernel
     # boundary corrections (difference-kernel Leibniz rule) as edge jumps.
-    area = -(term(k1s, axis=1, u=eta, v=g, deriv=1) + term(k2s, axis=2, u=eta, v=f, deriv=2))
-    area += term(k1, axis=1, u=g, v=eta, ends=True)
-    area += term(k2, axis=2, u=f, v=eta, ends=True)
+    area = -(area1 + area2)
+    area += jump1
+    area += jump2
 
     # Boundary: oint eta [(K_{P1*} g) dt2 - (K_{P2*} f) dt1], counterclockwise.
-    boundary = term(k1s, axis=1, u=eta, v=g, ends=True) + term(k2s, axis=2, u=eta, v=f, ends=True)
+    boundary = edge1 + edge2
 
     if max(abs(lhs), abs(area), abs(boundary)) < 1e-12:
         warnings.warn(

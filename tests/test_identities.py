@@ -1,6 +1,8 @@
 """Identity verification: residuals, special cases, reports, convergence."""
 
+import dataclasses
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -15,14 +17,14 @@ from genfrac.identities import (
     verify_green_rl_corollary,
     verify_ibp_2d,
 )
-from genfrac import identities, opmatrix
+from genfrac import identities, opmatrix, quadrature
 from genfrac.identities import _moment
 from genfrac.opmatrix import clear_matrix_cache, kop_end_rows, kop_matrix
 from genfrac.ops1d import OperatorRequest
 from genfrac.ops2d import PartialRequest, partial_kop
 from genfrac.pset import ParameterSet, standard_left, standard_right
 from genfrac.quadrature import NonFiniteSampleError, QuadratureRule, Rectangle, integrate_2d
-from genfrac.specfun import rl_family, tempered_family
+from genfrac.specfun import KernelFamily, rl_family, rl_kernel, tempered_family
 
 IBP_CONST_BOTH_SIDES = 1.5045055561273500985  # 4 / (3 gamma(3/2))
 
@@ -214,6 +216,27 @@ def test_green_on_a_tiny_rectangle_is_finite_at_every_mesh():
     assert all(np.isfinite(_terms(fine)))
     scale = abs(coarse.rhs_area)
     assert _terms(fine) == pytest.approx(_terms(coarse), rel=1e-9, abs=1e-9 * scale)
+
+
+@pytest.mark.filterwarnings("ignore:all three identity terms")
+def test_rel_residual_is_relative_to_the_terms_on_a_tiny_rectangle():
+    # the terms are ~1.4e-17 here; an absolute floor of 1e-14 under the
+    # denominator made this 2.3e-18
+    W = 1e-11
+    P = ParameterSet(0.0, W, 0.3, 0.7)
+    args = (e2("1+t1"), e2("t1*t2"), e2("1+t2"), 0.5, P, P, RL, Rectangle(0.0, W, 0.0, W))
+    r = verify_green(*args, QuadratureRule(panels=32))
+    scale = max(abs(r.lhs), abs(r.rhs_area) + abs(r.rhs_boundary))
+    assert 1e-17 < scale < 1e-16
+    assert r.rel_residual == r.abs_residual / scale
+    assert 5e-16 < r.rel_residual < 2e-15
+
+
+@pytest.mark.filterwarnings("ignore:all three identity terms")
+def test_rel_residual_is_zero_only_when_every_term_is():
+    zero = e2("0")
+    r = verify_green(zero, zero, zero, 0.5, LEFT1, LEFT1, RL, RECT)
+    assert (r.lhs, r.rhs_area, r.rhs_boundary, r.rel_residual) == (0.0, 0.0, 0.0, 0.0)
 
 
 def test_corollary_matches_green_term_by_term():
@@ -434,6 +457,30 @@ def test_nonfinite_grid_raises_on_every_call():
             verify_green(*args[:3], *args[4:])
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_check_that_raises_leaves_no_pending_build(monkeypatch):
+    started = []
+
+    def spy(*args):
+        started.append(args[0].as_tuple())
+        return build(*args)
+
+    build = opmatrix._Build
+    monkeypatch.setattr(opmatrix, "_Build", spy)
+    rule = QuadratureRule(panels=16)
+    args = (e2("t1"), e2("log(t1-0.5)"), e2("t2"), e2("t1"), 0.45, LEFT1, LEFT1, RL, RECT)
+    for check in (verify_ibp_2d, lambda *a: verify_green(*a[:3], *a[4:])):
+        clear_matrix_cache()
+        started.clear()
+        with pytest.raises(NonFiniteSampleError):
+            check(*args, rule)
+        # both halves were started before the grid raised, then dropped
+        assert sorted(started) == UNIT_HALVES
+        assert opmatrix._PENDING == {}
+        assert not any(key[0] == "kop" for key in opmatrix._CACHE)
+    clear_matrix_cache()
+
+
 @pytest.mark.parametrize("budget", [200_000, 1_000])
 def test_cache_stays_within_its_byte_budget(monkeypatch, budget):
     rule = QuadratureRule(order_per_panel=8, panels=4)  # 32 nodes: 8 KiB a grid
@@ -528,6 +575,48 @@ def test_fresh_specs_of_the_same_texts_add_no_grids_or_moments():
     assert any(key[0] == "grid" for key in keys)
     assert _both([e2(s) for s in QUAD], RECT, rule) == first
     assert set(opmatrix._CACHE) == keys
+    clear_matrix_cache()
+
+
+def test_nodes_and_kernel_values_are_made_on_the_calling_thread(monkeypatch):
+    # a traced run times these two on the thread that called the check;
+    # the barycentric passes run on the assembly worker
+    calls = {"singular_nodes": [], "evaluate": [], "_fill": []}
+
+    def on_thread(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name].append(threading.get_ident())
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    def make(order):
+        kern = rl_kernel(order)
+        return dataclasses.replace(kern, evaluate=on_thread("evaluate", kern.evaluate))
+
+    nodes = on_thread("singular_nodes", quadrature.singular_nodes)
+    monkeypatch.setattr(quadrature, "singular_nodes", nodes)
+    monkeypatch.setattr(opmatrix, "_fill", on_thread("_fill", opmatrix._fill))
+    P = ParameterSet(0.0, 1.0, 0.3, 0.7)
+    specs = [e2(s) for s in QUAD[:3]]
+    clear_matrix_cache()
+    verify_green(*specs, 0.4, P, P, KernelFamily("rl", make), RECT, QuadratureRule(panels=32))
+    clear_matrix_cache()
+    here = threading.get_ident()
+    assert calls["singular_nodes"] and set(calls["singular_nodes"]) == {here}
+    assert calls["evaluate"] and set(calls["evaluate"]) == {here}
+    assert calls["_fill"] and here not in calls["_fill"]
+
+
+def test_a_cold_green_report_equals_a_warm_one():
+    P1, P2 = ParameterSet(-1.0, 0.5, 0.3, 0.7), ParameterSet(2.0, 3.25, 1.0, 0.0)
+    args = (*(e2(s) for s in GREEN_FNS), 0.4, P1, P2, tempered_family(0.8), OFF)
+    rule = QuadratureRule(panels=32)
+    clear_matrix_cache()
+    cold = verify_green(*args, rule)
+    warm = verify_green(*args, rule)
+    for field in dataclasses.fields(cold):
+        assert getattr(cold, field.name) == getattr(warm, field.name), field.name
     clear_matrix_cache()
 
 
