@@ -375,8 +375,8 @@ class FuncSpec:
     derivative trees and are always C^1 on their domain.
 
     ``expr``, when set, must be the tree that ``fn`` evaluates (and whose
-    derivatives ``partials`` evaluate): the identity checks cache grids
-    and moments keyed on ``cache_key``, the text ``"arity:repr(expr)"``
+    derivatives ``partials`` evaluate): the identity checks cache
+    moments keyed on ``cache_key``, the text ``"arity:repr(expr)"``
     built once here, so two specs with equal trees share them and a
     lookup hashes a string instead of the tree.  A spec without ``expr``
     has no key and is never cached.

@@ -34,12 +34,14 @@ transpose, which would make the integration-by-parts residual vanish by
 construction.  A check first starts the halves that its terms need
 (``opmatrix.assembling``), then builds all of its moment matrices while
 the assembly worker thread fills the halves, and then contracts; its
-first ``kop_matrix`` or ``kop_end_rows`` call for a half waits for that
-half.  Grids and moments are cached beside the matrices, keyed
-on the specs' ``cache_key`` (their expression trees) and the mesh
-(rectangle and rule), so a function quadruple checked against many
-orders, p-sets and kernels builds them once.  A spec without an
-expression is never cached.  The A-fields use the tested splitting
+first ``kop_matrix`` or ``kop_end_rows`` call for a half fills the
+blocks the worker has not begun and waits for the rest.  Moments are
+cached beside the matrices, keyed on the specs' ``cache_key`` (their
+expression trees) and the mesh (rectangle and rule), so a function
+quadruple checked against many orders, p-sets and kernels builds them
+once.  The grids they are built from are sampled again for each new
+moment and not kept.  A spec without an expression is never cached.
+The A-fields use the tested splitting
 A_P v = B_P v + p v(a) k(t-a) - q v(b) k(b-t) (differentiating
 numerically would lose the (t-a)**(-alpha) edge blow-up), and with
 P* = <a, b, q, p> its kernel terms are jumps too:
@@ -58,6 +60,7 @@ import dataclasses
 import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -195,28 +198,32 @@ def _spec_cached(tag, specs, rect, rule, build):
     return cached((tag, key, rect, rule), build)
 
 
-def _grid(spec: FuncSpec, rect: Rectangle, rule: QuadratureRule, deriv: int = 0):
-    x, _, y, _ = _mesh(rect, rule)
-    return _spec_cached("grid", [(spec, deriv)], rect, rule, lambda: _sample(spec, deriv, x, y))
-
-
 def _moment(axis, u, v, rect, rule, deriv=0, ends=False):
     """S with <K_P, S> = iint u (K_P v) (or, with ``ends``, the jump J(u, v)).
 
-    K_P acts along ``axis`` and v is differentiated along ``deriv``.
+    K_P acts along ``axis`` and v is differentiated along ``deriv``.  The
+    grids of u and v are sampled for the moment and not kept: a grid costs
+    O(N^2) against the moment's O(N^3) product, and the shared cache holds
+    more moments without them.
     """
 
     def build():
-        x, wx, y, wy = _mesh(rect, rule)
+        x, wx, y, wy = mesh = _mesh(rect, rule)
         if ends:  # u at (a, b) along ``axis``, weighted (-1, +1)
             pts, signs = np.array(rect.axis1 if axis == 1 else rect.axis2), np.array([-1.0, 1.0])
             x, wx, y, wy = (pts, signs, y, wy) if axis == 1 else (x, wx, pts, signs)
-        W = wx[:, None] * (_sample(u, 0, x, y) if ends else _grid(u, rect, rule)) * wy
-        V = _grid(v, rect, rule, deriv)
+        W = wx[:, None] * _sample(u, 0, x, y) * wy
+        V = _sample(v, deriv, mesh[0], mesh[2])
         return W @ V.T if axis == 1 else W.T @ V
 
     tag = ("jump" if ends else "moment", axis)
     return _spec_cached(tag, [(u, 0), (v, deriv)], rect, rule, build)
+
+
+@lru_cache(maxsize=128, typed=True)
+def _halves(a: float, b: float) -> tuple[ParameterSet, ParameterSet]:
+    """<a, b, 1, 0> and <a, b, 0, 1>, validated once per interval."""
+    return standard_left(a, b), standard_right(a, b)
 
 
 def _sides(pset: ParameterSet):
@@ -225,7 +232,7 @@ def _sides(pset: ParameterSet):
 
     The halves are the unweighted p-sets <a, b, 1, 0> and <a, b, 0, 1>.
     """
-    left, right = standard_left(pset.a, pset.b), standard_right(pset.a, pset.b)
+    left, right = _halves(pset.a, pset.b)
     needed = (left, right) if pset.p or pset.q else ()
     return ((pset.p, left), (pset.q, right)), ((pset.q, left), (pset.p, right)), needed
 

@@ -21,34 +21,39 @@ from its own convolution rows; R is not L mirrored, since the graded
 mesh need not be symmetric.
 
 The matrices live in one least-recently-used cache, shared with the
-moment matrices and grids of :mod:`genfrac.identities` and bounded by
-their total bytes (``_CACHE_BYTES``).  Cached arrays are read-only, so a
-caller cannot corrupt a later check by writing into one.
+moment matrices of :mod:`genfrac.identities` and bounded by their total
+bytes (``_CACHE_BYTES``).  Cached arrays are read-only, so a caller
+cannot corrupt a later check by writing into one.
 
 Assembly runs in row blocks of about ``_BLOCK_POINTS`` quadrature
 points.  The calling thread makes each block's convolution rows (the
-kernel-folded nodes and weights) and hands the block to the one worker
+kernel-folded nodes and weights) and queues the block on the one worker
 thread of the process, which adds it into the block's own rows of the
 matrix.  Node making and kernel evaluation thus stay on the calling
-thread.  Within a block the worker handles one panel at a time.  The
-points that fall in a panel are sorted together by panel index (a
-stable sort of keys in the narrowest unsigned type, which numpy
-radix-sorts; stable, so each target's points stay in one run) and go
-through the second form in a few whole-array passes: the terms
-b_j / (t - x_j) in place, their sum, and one multiply by w / sum, which
-folds the quadrature weight w into the normaliser.  A point exactly on a
-node, whose sum is infinite, is set to w at that node afterwards; a row
-that is non-finite for any other reason stays so.  Each target's run is
-then summed into its row.  A point's sum runs in node order however
-many points share its panel, so the blocking changes no bit of the
-result.  The barycentric weights b_j come from node differences scaled
-by a power of two near the panel's span, so they stay finite on
-intervals of any width.
+thread.  A queued task is a whole row block with all of its halves,
+since a mixed p-set's two halves add into the same rows.  Within a block
+the points are sorted together by panel index (a stable sort of keys in
+the narrowest unsigned type, which numpy radix-sorts; stable, so each
+target's points stay in one run), and the rows and runs are found once
+for the block.  Each panel's points then go through the second form in a
+few whole-array passes: the terms b_j / (t - x_j) in place, their sum,
+and one multiply by w / sum, which folds the quadrature weight w into
+the normaliser.  A point exactly on a node, whose sum is infinite, is
+set to w at that node afterwards; a row that is non-finite for any other
+reason stays so.  Each target's run is summed, and one scatter adds the
+runs into their rows.  A point's sum runs in node order however many
+points share its panel, so the blocking changes no bit of the result.
+The barycentric weights b_j come from node differences scaled by a power
+of two near the panel's span, so they stay finite on intervals of any
+width.
 
 :class:`assembling` starts builds ahead of use: an identity check starts
 its halves, builds its moment matrices while the worker assembles, and
 its first :func:`kop_matrix` or :func:`kop_end_rows` call for a half
-joins that build.  The cache is read and written on the calling thread
+joins that build.  Joining helps: the calling thread takes the blocks
+the worker has not begun, last first, and fills them itself, then waits
+for the rest.  Blocks own disjoint rows, so the two threads never write
+the same element.  The cache is read and written on the calling thread
 only, so results and cache state do not depend on scheduling.  The
 worker is made on first use, and again in a forked child.
 
@@ -62,6 +67,7 @@ from __future__ import annotations
 
 import os
 from collections import OrderedDict
+from functools import partial
 
 import numpy as np
 
@@ -108,7 +114,7 @@ if hasattr(os, "register_at_fork"):  # POSIX; elsewhere there is no fork
 
 
 def clear_matrix_cache() -> None:
-    """Empty the shared cache (operator matrices, moments and grids) and drop pending builds."""
+    """Empty the shared cache (operator matrices and moments) and drop pending builds."""
     global _cache_total
     _CACHE.clear()
     _cache_total = 0
@@ -160,13 +166,13 @@ def _bary_weights(panels: np.ndarray) -> np.ndarray:
 
 
 def _fill(out, weight, live, tau, w, panels, bws, edges) -> None:
-    """Add ``weight * sum(w * f(tau))`` to ``out`` as matrix rows: one row block.
+    """Add ``weight * sum(w * f(tau))`` to ``out`` as matrix rows: one half of a row block.
 
     ``out`` is (rows, panels, order) and ``(live, tau, w)`` is one half's
     convolution rows at those rows' targets.
     """
     npan = panels.shape[0]
-    tau_f, w_f = tau.ravel(), w.ravel()
+    tau_f = tau.ravel()
     pan = np.searchsorted(edges, tau_f, side="right") - 1
     np.clip(pan, 0, npan - 1, out=pan)
     # stable, so each panel's points keep their row-major order: the rows
@@ -174,14 +180,20 @@ def _fill(out, weight, live, tau, w, panels, bws, edges) -> None:
     # narrow are radix-sorted
     srt = np.argsort(pan.astype(np.min_scalar_type(npan)), kind="stable")
     bounds = np.concatenate(([0], np.cumsum(np.bincount(pan, minlength=npan))))
-    live_rows = np.flatnonzero(live)
+    # the points in panel order, and the runs of one row in one panel, so
+    # that the panel loop below only slices
+    t_all, wt_all, pan = tau_f.take(srt), weight * w.ravel().take(srt), pan.take(srt)
+    rows = np.flatnonzero(live).take(srt // tau.shape[1])
+    starts = np.flatnonzero(
+        np.concatenate(([True], (rows[1:] != rows[:-1]) | (pan[1:] != pan[:-1])))
+    )
+    run_bounds = np.searchsorted(starts, bounds)
+    sums = np.empty((panels.shape[1], starts.size))
     for ip in range(npan):
         lo, hi = bounds[ip], bounds[ip + 1]
         if lo == hi:
             continue
-        idx = srt[lo:hi]
-        t, nodes = tau_f[idx], panels[ip, :, None]
-        wt = weight * w_f[idx]
+        t, wt, nodes = t_all[lo:hi], wt_all[lo:hi], panels[ip, :, None]
         # w l_j(t) = (bw_j / (t - x_j)) * w / total, one column per point
         # so that every pass runs along the points
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -198,17 +210,27 @@ def _fill(out, weight, live, tau, w, panels, bws, edges) -> None:
             exact = t[bad] == nodes
             hit = exact.any(axis=0)
             terms[:, bad[hit]] = wt[bad[hit]] * exact[:, hit]
-        r = live_rows[idx // tau.shape[1]]
-        starts = np.flatnonzero(np.concatenate(([True], r[1:] != r[:-1])))
-        out[r[starts], ip] += np.add.reduceat(terms, starts, axis=1).T
+        k0, k1 = run_bounds[ip], run_bounds[ip + 1]
+        np.add.reduceat(terms, starts[k0:k1] - lo, axis=1, out=sums[:, k0:k1])
+    # each (row, panel) pair is one run, so one scatter adds them all
+    out[rows[starts], pan[starts]] += sums.T
+
+
+def _fill_block(rows, halves, panels, bws, edges) -> None:
+    """Add every half of one row block into its ``rows``, one after the other."""
+    for weight, live, tau, w in halves:
+        _fill(rows, weight, live, tau, w, panels, bws, edges)
 
 
 class _Build:
     """One p-set's (mesh rows, end rows), in assembly on the worker thread.
 
     The calling thread makes the convolution rows of each row block and
-    hands them to the worker, which adds them into the block's own rows
-    of ``out``; :meth:`join` waits for the last block.
+    queues the block on the worker, which adds it into the block's own
+    rows of ``out``.  A task is a whole row block: a mixed p-set's two
+    halves add into the same rows, so they must not run on two threads.
+    :meth:`join` runs the blocks the worker has not begun on the calling
+    thread, then waits for the rest.
     """
 
     def __init__(self, pset: ParameterSet, kernel: Kernel, rule: QuadratureRule):
@@ -218,33 +240,36 @@ class _Build:
         bws = _bary_weights(panels)
         self.size = nodes.size
         self.out = np.zeros((targets.size, *panels.shape))
-        self.blocks = []
+        self.blocks = []  # (future, task), in the worker's order
         # blocks of equal rows, none above _BLOCK_POINTS points
         count = -(-targets.size * rule.node_count // _BLOCK_POINTS)
         step = -(-targets.size // count)
         worker = _worker()
         try:
             for lo in range(0, targets.size, step):
-                rows = self.out[lo : lo + step]
-                for weight, live, tau, w in convolution_rows(
-                    pset, kernel, targets[lo : lo + step], rule
-                ):
-                    self.blocks.append(
-                        worker.submit(_fill, rows, weight, live, tau, w, panels, bws, edges)
-                    )
+                halves = list(convolution_rows(pset, kernel, targets[lo : lo + step], rule))
+                task = partial(_fill_block, self.out[lo : lo + step], halves, panels, bws, edges)
+                self.blocks.append((worker.submit(task), task))
         except BaseException:
             self.cancel()
             raise
 
     def cancel(self) -> None:
         """Drop the blocks not yet begun; a running one fills rows no one reads."""
-        for block in self.blocks:
-            block.cancel()
+        for future, _ in self.blocks:
+            future.cancel()
 
     def join(self):
         try:
-            for block in self.blocks:
-                block.result()
+            # the worker takes the blocks first to last, so this thread takes
+            # them last to first until it meets one the worker has begun
+            for future, task in reversed(self.blocks):
+                if not future.cancel():
+                    break
+                task()
+            for future, _ in self.blocks:
+                if not future.cancelled():
+                    future.result()
         except BaseException:
             self.cancel()
             raise

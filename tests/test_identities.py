@@ -18,6 +18,7 @@ from genfrac.identities import (
     verify_ibp_2d,
 )
 from genfrac import identities, opmatrix, quadrature
+from genfrac.corpus import CORPUS_FUNCTIONS
 from genfrac.identities import _moment
 from genfrac.opmatrix import clear_matrix_cache, kop_end_rows, kop_matrix
 from genfrac.ops1d import OperatorRequest
@@ -572,15 +573,51 @@ def test_fresh_specs_of_the_same_texts_add_no_grids_or_moments():
     clear_matrix_cache()
     first = _both([e2(s) for s in QUAD], RECT, rule)
     keys = set(opmatrix._CACHE)
-    assert any(key[0] == "grid" for key in keys)
+    # a moment samples its two grids and keeps neither
+    assert not any(key[0] == "grid" for key in keys)
     assert _both([e2(s) for s in QUAD], RECT, rule) == first
     assert set(opmatrix._CACHE) == keys
     clear_matrix_cache()
 
 
+def test_a_sweep_keeps_every_moment_of_the_corpus_quadruples(monkeypatch):
+    # a refinement sweep at 128, 256 and 512 nodes with a fresh order on
+    # each check assembles new halves every time; within the default
+    # budget, they must not push out the moments that the next pass over
+    # the same quadruples reads
+    made = []
+
+    def spy(key, build):
+        if key is not None and key not in opmatrix._CACHE:
+            made.append(key[0])
+        return cached(key, build)
+
+    cached = identities.cached
+    monkeypatch.setattr(identities, "cached", spy)
+    rules = [QuadratureRule(panels=n) for n in (8, 16, 32)]
+    P = ParameterSet(0.0, 1.0, 0.3, 0.7)
+
+    def sweep(alphas):
+        for fns, alpha in zip(CORPUS_FUNCTIONS, alphas):
+            f, g, eta = (e2(fns[name]) for name in ("f", "g", "eta1"))
+            inputs = dict(f=f, g=g, eta=eta, alpha=alpha, p1=P, p2=P, kernel=RL, rect=RECT)
+            convergence_study("green", inputs, rules)
+
+    clear_matrix_cache()
+    try:
+        sweep(0.15 + 0.05 * np.arange(8))
+        assert made.count(("moment", 1)) == made.count(("jump", 1)) == 8 * 3 * 2
+        made.clear()
+        sweep(0.55 + 0.04 * np.arange(8))
+        assert [tag for tag in made if tag[0] in ("moment", "jump")] == []
+    finally:
+        clear_matrix_cache()
+
+
 def test_nodes_and_kernel_values_are_made_on_the_calling_thread(monkeypatch):
     # a traced run times these two on the thread that called the check;
-    # the barycentric passes run on the assembly worker
+    # the barycentric passes run on the assembly worker or, for the blocks
+    # it has not begun, on the thread that joins the build
     calls = {"singular_nodes": [], "evaluate": [], "_fill": []}
 
     def on_thread(name, fn):
@@ -590,13 +627,21 @@ def test_nodes_and_kernel_values_are_made_on_the_calling_thread(monkeypatch):
 
         return wrapped
 
+    filled = []  # (matrix, first row, rows) of every row block filled
+    fill = opmatrix._fill
+
+    def record(out, *args):
+        first = (out.ctypes.data - out.base.ctypes.data) // out.strides[0]
+        filled.append((out.base, first, out.shape[0]))
+        return fill(out, *args)
+
     def make(order):
         kern = rl_kernel(order)
         return dataclasses.replace(kern, evaluate=on_thread("evaluate", kern.evaluate))
 
     nodes = on_thread("singular_nodes", quadrature.singular_nodes)
     monkeypatch.setattr(quadrature, "singular_nodes", nodes)
-    monkeypatch.setattr(opmatrix, "_fill", on_thread("_fill", opmatrix._fill))
+    monkeypatch.setattr(opmatrix, "_fill", on_thread("_fill", record))
     P = ParameterSet(0.0, 1.0, 0.3, 0.7)
     specs = [e2(s) for s in QUAD[:3]]
     clear_matrix_cache()
@@ -605,7 +650,15 @@ def test_nodes_and_kernel_values_are_made_on_the_calling_thread(monkeypatch):
     here = threading.get_ident()
     assert calls["singular_nodes"] and set(calls["singular_nodes"]) == {here}
     assert calls["evaluate"] and set(calls["evaluate"]) == {here}
-    assert calls["_fill"] and here not in calls["_fill"]
+    # each half's rows are tiled by its blocks, each filled exactly once
+    assert calls["_fill"]
+    builds = {id(out): out for out, _, _ in filled}
+    assert len(builds) == 2
+    for key, out in builds.items():
+        spans = sorted((first, rows) for o, first, rows in filled if id(o) == key)
+        ends = [first + rows for first, rows in spans]
+        assert [first for first, _ in spans] == [0] + ends[:-1]
+        assert ends[-1] == out.shape[0]
 
 
 def test_a_cold_green_report_equals_a_warm_one():

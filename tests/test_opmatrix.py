@@ -9,6 +9,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -176,6 +177,30 @@ def test_cold_assemblies_are_bitwise_equal():
     clear_matrix_cache()
     for got, want in zip(*runs):
         np.testing.assert_array_equal(got, want)
+
+
+def test_blocks_shared_by_the_worker_and_the_joining_thread_lose_no_update(monkeypatch):
+    # a mixed p-set's two halves add into the same rows; the joining
+    # thread runs queued blocks while the worker runs others, and a switch
+    # interval of 1 us lets the two interleave inside a block's additions
+    rule = RULE.with_panels(8)
+    P, kern = ParameterSet(0.0, 1.0, 0.3, 0.7), rl_family().instantiate(0.4)
+    clear_matrix_cache()
+    monkeypatch.setattr(opmatrix, "_BLOCK_POINTS", 2**30)
+    whole = _pair(P, kern, rule)
+    monkeypatch.setattr(opmatrix, "_BLOCK_POINTS", 8 * rule.node_count)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        deadline, runs = time.monotonic() + 4.0, 0
+        while runs < 300 and (runs < 5 or time.monotonic() < deadline):
+            clear_matrix_cache()
+            for got, want in zip(_pair(P, kern, rule), whole):
+                np.testing.assert_array_equal(got, want, err_msg=f"run {runs}")
+            runs += 1
+    finally:
+        sys.setswitchinterval(interval)
+        clear_matrix_cache()
 
 
 def test_clearing_the_cache_drops_pending_builds():
