@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .corpus import corpus_json
@@ -50,6 +51,17 @@ def _floats(text: str, n: int, what: str) -> tuple[float, ...]:
         return tuple(float(s) for s in parts)
     except ValueError:
         raise UsageError(f"non-numeric value in {what}: {text!r}") from None
+
+
+def _tolerance(text: str) -> float:
+    """A ``--tol`` value: NaN would pass every gate, so only finite values >= 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
+    return value
 
 
 def _rule_from(args) -> QuadratureRule:
@@ -101,7 +113,7 @@ def build_parser() -> _ArgumentParser:
         pv.add_argument("--order", type=int, default=16)
         if name == "verify":
             pv.add_argument("--panels", type=int, default=8)
-            pv.add_argument("--tol", type=float)
+            pv.add_argument("--tol", type=_tolerance)
             pv.add_argument("--json", dest="json_path")
         else:
             pv.add_argument("--panel-seq", default="8,16,32", dest="panel_seq")

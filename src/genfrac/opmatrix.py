@@ -47,15 +47,14 @@ The barycentric weights b_j come from node differences scaled by a power
 of two near the panel's span, so they stay finite on intervals of any
 width.
 
-:class:`assembling` starts builds ahead of use: an identity check starts
-its halves, builds its moment matrices while the worker assembles, and
-its first :func:`kop_matrix` or :func:`kop_end_rows` call for a half
-joins that build.  Joining helps: the calling thread takes the blocks
-the worker has not begun, last first, and fills them itself, then waits
-for the rest.  Blocks own disjoint rows, so the two threads never write
-the same element.  The cache is read and written on the calling thread
-only, so results and cache state do not depend on scheduling.  The
-worker is made on first use, and again in a forked child.
+:class:`Assembly` scopes the matrices of one identity check: it starts
+them, the check builds its moment matrices while the worker fills the
+blocks, and :meth:`Assembly.join` fills the blocks the worker has not
+begun, last first, waits for the rest and offers each result to the
+cache.  Blocks own disjoint rows, so the two threads never write the same
+element.  The cache is read and written on the calling thread only, so
+results and cache state do not depend on scheduling.  The worker is made
+on first use, and again in a forked child.
 
 For polynomial operands of degree below the panel order the interpolation
 is exact; for the smooth test corpus its error is far below quadrature
@@ -86,7 +85,6 @@ _cache_total = 0
 # Quadrature points per row block of an assembly.  Blocks keep the
 # worker's temporaries small while the calling thread builds moments.
 _BLOCK_POINTS = 2**16
-_PENDING: dict = {}  # key -> _Build started by ``assembling``, not yet joined
 _WORKER = None
 
 
@@ -106,7 +104,6 @@ def _forget_worker() -> None:
     # blocks queued there never run.
     global _WORKER
     _WORKER = None
-    _PENDING.clear()
 
 
 if hasattr(os, "register_at_fork"):  # POSIX; elsewhere there is no fork
@@ -114,13 +111,10 @@ if hasattr(os, "register_at_fork"):  # POSIX; elsewhere there is no fork
 
 
 def clear_matrix_cache() -> None:
-    """Empty the shared cache (operator matrices and moments) and drop pending builds."""
+    """Empty the shared cache (operator matrices and moments)."""
     global _cache_total
     _CACHE.clear()
     _cache_total = 0
-    for build in _PENDING.values():
-        build.cancel()
-    _PENDING.clear()
 
 
 def cached(key, build):
@@ -141,7 +135,8 @@ def cached(key, build):
     for arr in arrays:
         arr.flags.writeable = False
     size = sum(arr.nbytes for arr in arrays)
-    if key is not None and size <= _CACHE_BYTES:
+    # a build may have kept its value itself, as ``Assembly.join`` does
+    if key is not None and size <= _CACHE_BYTES and key not in _CACHE:
         _CACHE[key] = (value, size)
         _cache_total += size
         while _cache_total > _CACHE_BYTES:
@@ -222,44 +217,55 @@ def _fill_block(rows, halves, panels, bws, edges) -> None:
         _fill(rows, weight, live, tau, w, panels, bws, edges)
 
 
-class _Build:
-    """One p-set's (mesh rows, end rows), in assembly on the worker thread.
+def _key(pset: ParameterSet, kernel: Kernel, rule: QuadratureRule):
+    return ("kop", pset.as_tuple(), kernel.cache_key, rule)
 
-    The calling thread makes the convolution rows of each row block and
-    queues the block on the worker, which adds it into the block's own
-    rows of ``out``.  A task is a whole row block: a mixed p-set's two
-    halves add into the same rows, so they must not run on two threads.
-    :meth:`join` runs the blocks the worker has not begun on the calling
-    thread, then waits for the rest.
+
+class Assembly:
+    """The (mesh rows, end rows) of each p-set's matrix, assembled for one check.
+
+    Keys already cached and repeated keys are skipped.  The calling thread
+    makes the convolution rows of each row block and queues the block on
+    the worker, which adds it into the block's own rows of its matrix.  A
+    task is a whole row block: a mixed p-set's two halves add into the
+    same rows, so they must not run on two threads.
     """
 
-    def __init__(self, pset: ParameterSet, kernel: Kernel, rule: QuadratureRule):
+    def __init__(self, psets, kernel: Kernel, rule: QuadratureRule):
+        self.outs = {}  # key -> (rows of the matrix, mesh size)
+        self.blocks = []  # (future, task) of every matrix, in the worker's order
+        try:
+            for pset in psets:
+                key = _key(pset, kernel, rule)
+                if key not in _CACHE and key not in self.outs:
+                    self.outs[key] = self._start(pset, kernel, rule)
+        except BaseException:
+            self.cancel()
+            raise
+
+    def _start(self, pset: ParameterSet, kernel: Kernel, rule: QuadratureRule):
         nodes, _, edges = composite_nodes(pset.a, pset.b, rule)
         targets = np.concatenate([nodes, [pset.a, pset.b]])
         panels = nodes.reshape(edges.size - 1, rule.order_per_panel)
         bws = _bary_weights(panels)
-        self.size = nodes.size
-        self.out = np.zeros((targets.size, *panels.shape))
-        self.blocks = []  # (future, task), in the worker's order
+        out = np.zeros((targets.size, *panels.shape))
         # blocks of equal rows, none above _BLOCK_POINTS points
         count = -(-targets.size * rule.node_count // _BLOCK_POINTS)
         step = -(-targets.size // count)
         worker = _worker()
-        try:
-            for lo in range(0, targets.size, step):
-                halves = list(convolution_rows(pset, kernel, targets[lo : lo + step], rule))
-                task = partial(_fill_block, self.out[lo : lo + step], halves, panels, bws, edges)
-                self.blocks.append((worker.submit(task), task))
-        except BaseException:
-            self.cancel()
-            raise
+        for lo in range(0, targets.size, step):
+            halves = list(convolution_rows(pset, kernel, targets[lo : lo + step], rule))
+            task = partial(_fill_block, out[lo : lo + step], halves, panels, bws, edges)
+            self.blocks.append((worker.submit(task), task))
+        return out, nodes.size
 
     def cancel(self) -> None:
         """Drop the blocks not yet begun; a running one fills rows no one reads."""
         for future, _ in self.blocks:
             future.cancel()
 
-    def join(self):
+    def join(self) -> dict:
+        """Finish every matrix and offer it to the cache: key -> (mesh rows, end rows)."""
         try:
             # the worker takes the blocks first to last, so this thread takes
             # them last to first until it meets one the worker has begun
@@ -273,49 +279,18 @@ class _Build:
         except BaseException:
             self.cancel()
             raise
-        M = self.out.reshape(self.out.shape[0], -1)
-        return M[: self.size], M[self.size :]
-
-
-def _key(pset: ParameterSet, kernel: Kernel, rule: QuadratureRule):
-    return ("kop", pset.as_tuple(), kernel.cache_key, rule)
+        pairs = {}
+        for key, (out, size) in self.outs.items():
+            M = out.reshape(out.shape[0], -1)
+            pair = M[:size], M[size:]
+            pairs[key] = cached(key, lambda: pair)
+        return pairs
 
 
 def _matrices(pset: ParameterSet, kernel: Kernel, rule: QuadratureRule):
-    """The cached pair (mesh rows, end rows); a miss joins the pending build or makes one."""
+    """The cached pair (mesh rows, end rows); a miss assembles it."""
     key = _key(pset, kernel, rule)
-    return cached(key, lambda: (_PENDING.pop(key, None) or _Build(pset, kernel, rule)).join())
-
-
-class assembling:
-    """Context in which the worker thread assembles the matrices of ``psets``.
-
-    The first :func:`kop_matrix` or :func:`kop_end_rows` call for a p-set
-    joins its build and caches the result.  Matrices already cached or
-    started are left alone.  On leaving, the builds not joined (the block
-    raised) are dropped.
-    """
-
-    def __init__(self, psets, kernel: Kernel, rule: QuadratureRule):
-        self.started = []
-        try:
-            for pset in psets:
-                key = _key(pset, kernel, rule)
-                if key not in _CACHE and key not in _PENDING:
-                    _PENDING[key] = _Build(pset, kernel, rule)
-                    self.started.append(key)
-        except BaseException:
-            self.__exit__()
-            raise
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        for key in self.started:
-            build = _PENDING.pop(key, None)
-            if build is not None:
-                build.cancel()
+    return cached(key, lambda: Assembly([pset], kernel, rule).join()[key])
 
 
 def kop_matrix(pset: ParameterSet, kernel: Kernel, rule: QuadratureRule) -> np.ndarray:

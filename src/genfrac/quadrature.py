@@ -12,6 +12,7 @@ panel edges, interval endpoints, or the rectangle boundary.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -35,9 +36,10 @@ __all__ = [
     "singular_nodes",
 ]
 
-# Panel grading used when a Gauss-Jacobi panel already absorbs the kernel
-# singularity: what matters then is a bounded width ratio between
-# neighbouring panels, not aggressive refinement.
+# Panel grading of the convolution rules.  The Gauss-Jacobi panel at the
+# singular end already absorbs the kernel singularity, so what matters is
+# a bounded width ratio between neighbouring panels, not aggressive
+# refinement.
 _ABSORBED_GRADING = 2.0
 
 # Entries kept by the caches keyed on the singularity exponent.  Every
@@ -54,45 +56,42 @@ class NonFiniteSampleError(ArithmeticError):
 class QuadratureRule:
     """Panel-structured Gaussian rule.
 
-    ``family`` selects how kernel singularities are treated by
-    :func:`integrate_singular`:
+    :func:`integrate_singular` and the convolution rows use
+    ``order_per_panel`` Gauss-Jacobi nodes on the panel touching the
+    singular endpoint, whose weight absorbs the kernel's power singularity
+    exactly, and Gauss-Legendre panels on a mildly graded mesh elsewhere.
 
-    * ``gauss_jacobi`` (default): the panel touching the singular endpoint
-      uses Gauss-Jacobi nodes whose weight absorbs the kernel's power
-      singularity exactly; remaining panels are Gauss-Legendre on a mildly
-      graded mesh.
-    * ``graded_composite``: pure Gauss-Legendre with panels refined toward
-      the singular endpoint at strength max(grading_strength, 2/(1-sigma)).
-    * ``gauss_legendre``: uniform Gauss-Legendre panels, no special
-      treatment (baseline/diagnostic).
-
-    ``grading_strength`` also controls the two-sided panel grading of the
+    ``grading_strength`` controls the two-sided panel grading of the
     product-integral meshes built by :func:`composite_nodes`; integrands
     there inherit endpoint roughness of type (t - a)**alpha from the
     convolution fields, which heavy grading resolves.
     """
 
-    family: str = "gauss_jacobi"
     order_per_panel: int = 16
     panels: int = 8
     grading_strength: float = 6.0
 
     def __post_init__(self) -> None:
-        if self.family not in ("gauss_jacobi", "graded_composite", "gauss_legendre"):
-            raise ValueError(f"unknown quadrature family {self.family!r}")
+        for name in ("order_per_panel", "panels"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise TypeError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))  # numpy integers too, for JSON
         if self.order_per_panel < 1:
             raise ValueError("order_per_panel must be >= 1")
         if self.panels < 1:
             raise ValueError("panels must be >= 1")
-        if not self.grading_strength >= 1.0:
-            raise ValueError("grading_strength must be >= 1")
+        if not (math.isfinite(self.grading_strength) and self.grading_strength >= 1.0):
+            raise ValueError(
+                f"grading_strength must be finite and >= 1, got {self.grading_strength!r}"
+            )
 
     @property
     def node_count(self) -> int:
         return self.order_per_panel * self.panels
 
     def with_panels(self, panels: int) -> "QuadratureRule":
-        return QuadratureRule(self.family, self.order_per_panel, panels, self.grading_strength)
+        return QuadratureRule(self.order_per_panel, panels, self.grading_strength)
 
 
 DEFAULT_RULE = QuadratureRule()
@@ -159,17 +158,15 @@ def _jacobi_left(n: int, sigma: float) -> tuple[np.ndarray, np.ndarray]:
     return x, (mu0 / v0.sum()) * v0
 
 
-def graded_edges(
-    lo: float, hi: float, panels: int, strength_lo: float, strength_hi: float
-) -> np.ndarray:
-    """Panel edges refined toward both endpoints with per-side strengths."""
+def graded_edges(lo: float, hi: float, panels: int, strength: float) -> np.ndarray:
+    """Panel edges refined toward both endpoints at ``strength``."""
     if panels <= 1:
         return np.array([lo, hi], dtype=float)
     mlo = panels // 2
     mhi = panels - mlo
     mid = 0.5 * (lo + hi)
-    left = lo + (mid - lo) * (np.arange(mlo + 1) / mlo) ** strength_lo
-    right = hi - (hi - mid) * (np.arange(mhi, -1, -1) / mhi) ** strength_hi
+    left = lo + (mid - lo) * (np.arange(mlo + 1) / mlo) ** strength
+    right = hi - (hi - mid) * (np.arange(mhi, -1, -1) / mhi) ** strength
     return np.concatenate([left, right[1:]])
 
 
@@ -177,7 +174,7 @@ def graded_edges(
 def _composite_unit(order: int, panels: int, strength: float):
     """Nodes/weights/edges of the two-sided graded composite rule on [0, 1]."""
     xg, wg = _leggauss(order)
-    edges = graded_edges(0.0, 1.0, panels, strength, strength)
+    edges = graded_edges(0.0, 1.0, panels, strength)
     half = 0.5 * np.diff(edges)
     mids = 0.5 * (edges[:-1] + edges[1:])
     x = (mids[:, None] + half[:, None] * xg[None, :]).ravel()
@@ -197,23 +194,15 @@ def composite_nodes(lo: float, hi: float, rule: QuadratureRule):
 
 
 @lru_cache(maxsize=_SIGMA_CACHE_SIZE)
-def _singular_unit(family: str, sigma: float, order: int, panels: int, strength: float):
+def _singular_unit(sigma: float, order: int, panels: int):
     """Unit-interval pattern for int_0^L k(u) phi(u) du, kernel singular at 0.
 
     Returns ``(u_jac, w_jac, e1, u_gl, w_gl)`` in units of L: Jacobi-panel
-    nodes and raw weights (empty unless the family absorbs the
-    singularity), the first edge, and Gauss-Legendre nodes/weights of the
-    remaining panels.
+    nodes and raw weights (empty for a regular kernel, sigma = 0), the
+    first edge, and Gauss-Legendre nodes/weights of the remaining panels.
     """
-    absorbed = family == "gauss_jacobi" and sigma > 0.0
-    if family == "gauss_legendre":
-        edges = np.linspace(0.0, 1.0, panels + 1)
-    elif absorbed:
-        edges = graded_edges(0.0, 1.0, panels, _ABSORBED_GRADING, _ABSORBED_GRADING)
-    else:  # graded_composite, or gauss_jacobi with a regular kernel
-        s_lo = max(strength, 2.0 / (1.0 - sigma)) if sigma > 0.0 else _ABSORBED_GRADING
-        edges = graded_edges(0.0, 1.0, panels, s_lo, _ABSORBED_GRADING)
-    if absorbed:
+    edges = graded_edges(0.0, 1.0, panels, _ABSORBED_GRADING)
+    if sigma > 0.0:
         xj, wj = _jacobi_left(order, sigma)
         e1 = edges[1]
         u_jac = 0.5 * e1 * (xj + 1.0)
@@ -246,9 +235,7 @@ def singular_nodes(kernel: Kernel, lengths, rule: QuadratureRule):
     Returns arrays of shape ``(len(lengths), M)``.
     """
     sigma = kernel.singularity_exponent
-    u_jac, w_jac, e1, u_gl, w_gl = _singular_unit(
-        rule.family, sigma, rule.order_per_panel, rule.panels, rule.grading_strength
-    )
+    u_jac, w_jac, e1, u_gl, w_gl = _singular_unit(sigma, rule.order_per_panel, rule.panels)
     L = np.atleast_1d(np.asarray(lengths, dtype=float))[:, None]
     parts_u = []
     parts_w = []

@@ -118,6 +118,20 @@ def test_verify_exit_3_on_tight_tolerance(capsys):
     assert json.loads(out)["identity"] == "green"  # report still emitted
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1e-4", "tight"])
+def test_verify_rejects_a_tolerance_that_is_not_finite_and_nonnegative(capsys, tol):
+    # a NaN tolerance would pass every check
+    code, out, err = _run(
+        capsys,
+        ["verify", "green", "--alpha", "0.5", "--psets", "left,left",
+         "--f", "t1+t2", "--g", "t1*t2", "--eta", "sin(t1)*t2",
+         "--rect", "0,1,0,1", f"--tol={tol}"],
+    )
+    assert code == 1
+    assert out == ""
+    assert "--tol" in err and "finite" in err
+
+
 def test_verify_ibp_requires_both_etas(capsys):
     code, _, err = _run(
         capsys,

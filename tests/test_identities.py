@@ -462,12 +462,12 @@ def test_nonfinite_grid_raises_on_every_call():
 def test_a_check_that_raises_leaves_no_pending_build(monkeypatch):
     started = []
 
-    def spy(*args):
-        started.append(args[0].as_tuple())
-        return build(*args)
+    class Spy(opmatrix.Assembly):
+        def __init__(self, *args):
+            super().__init__(*args)
+            started.append(self)
 
-    build = opmatrix._Build
-    monkeypatch.setattr(opmatrix, "_Build", spy)
+    monkeypatch.setattr(identities, "Assembly", Spy)
     rule = QuadratureRule(panels=16)
     args = (e2("t1"), e2("log(t1-0.5)"), e2("t2"), e2("t1"), 0.45, LEFT1, LEFT1, RL, RECT)
     for check in (verify_ibp_2d, lambda *a: verify_green(*a[:3], *a[4:])):
@@ -476,8 +476,9 @@ def test_a_check_that_raises_leaves_no_pending_build(monkeypatch):
         with pytest.raises(NonFiniteSampleError):
             check(*args, rule)
         # both halves were started before the grid raised, then dropped
-        assert sorted(started) == UNIT_HALVES
-        assert opmatrix._PENDING == {}
+        (assembly,) = started
+        assert sorted(key[1] for key in assembly.outs) == UNIT_HALVES
+        assert all(f.running() or f.done() for f, _ in assembly.blocks)
         assert not any(key[0] == "kop" for key in opmatrix._CACHE)
     clear_matrix_cache()
 

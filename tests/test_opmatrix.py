@@ -2,7 +2,7 @@
 K_P as the weighted sum of its two unweighted halves, the halves against
 the Riemann-Liouville closed form on any scale, quadrature points that
 land exactly on a mesh node, and assembly on the worker thread: row
-blocks, pending builds, fork and interpreter exit."""
+blocks, the assembly of one check, fork and interpreter exit."""
 
 import math
 import multiprocessing
@@ -18,7 +18,7 @@ import pytest
 
 from genfrac import opmatrix
 from genfrac.funcspec import parse_expression
-from genfrac.opmatrix import assembling, clear_matrix_cache, kop_end_rows, kop_matrix
+from genfrac.opmatrix import Assembly, clear_matrix_cache, kop_end_rows, kop_matrix
 from genfrac.ops1d import OperatorRequest, kop
 from genfrac.pset import ParameterSet, standard_left, standard_right
 from genfrac.quadrature import QuadratureRule, composite_nodes, convolution_rows
@@ -203,33 +203,70 @@ def test_blocks_shared_by_the_worker_and_the_joining_thread_lose_no_update(monke
         clear_matrix_cache()
 
 
-def test_clearing_the_cache_drops_pending_builds():
-    rule = RULE.with_panels(32)
-    P, kern = standard_left(0.0, 1.0), rl_family().instantiate(0.45)
+def test_an_assembly_builds_each_uncached_key_once(monkeypatch):
+    rule = RULE.with_panels(8)  # 130 targets of 128 points: one block a matrix
+    kern = rl_family().instantiate(0.45)
+    left, right = standard_left(0.0, 1.0), standard_right(0.0, 1.0)
+    mixed = ParameterSet(0.0, 1.0, 0.3, 0.7)
     clear_matrix_cache()
-    want = _pair(P, kern, rule)
+    want = {P.as_tuple(): _pair(P, kern, rule) for P in (right, mixed)}
     clear_matrix_cache()
-    with assembling([P, standard_right(0.0, 1.0)], kern, rule):
-        assert len(opmatrix._PENDING) == 2
-        clear_matrix_cache()
-        assert opmatrix._PENDING == {}
-        # a miss after the drop builds the matrix afresh
-        got = _pair(P, kern, rule)
-    assert opmatrix._PENDING == {}
-    for g, w in zip(got, want):
-        np.testing.assert_array_equal(g, w)
+    kept = kop_matrix(left, kern, rule)
+    made = []
+
+    def spy(pset, *args):
+        made.append(pset.as_tuple())
+        return convolution_rows(pset, *args)
+
+    monkeypatch.setattr(opmatrix, "convolution_rows", spy)
+    pairs = Assembly([left, right, mixed, right, left], kern, rule).join()
+    assert made == [right.as_tuple(), mixed.as_tuple()]
+    assert [key[1] for key in pairs] == made
+    for key, pair in pairs.items():
+        assert opmatrix._CACHE[key][0] is pair
+        for got, w in zip(pair, want[key[1]]):
+            np.testing.assert_array_equal(got, w)
+    assert kop_matrix(left, kern, rule) is kept
+    assert made == [right.as_tuple(), mixed.as_tuple()]  # the checks read the cache
     clear_matrix_cache()
 
 
-def test_a_block_that_raises_drops_its_builds():
+def _queued(futures):
+    """Futures of the worker that have neither begun nor been cancelled."""
+    return [f for f in futures if not (f.running() or f.done())]
+
+
+def test_a_block_that_raises_drops_its_builds(monkeypatch):
+    # the rows of the second p-set raise after the first one's blocks are
+    # queued; a cancelled assembly keeps nothing either
     rule = RULE.with_panels(16)
     kern = rl_family().instantiate(0.55)
+    left, right = standard_left(0.0, 1.0), standard_right(0.0, 1.0)
+    monkeypatch.setattr(opmatrix, "_BLOCK_POINTS", 8 * rule.node_count)
+    worker, futures = opmatrix._worker(), []
+    submit = worker.submit
+
+    def record(task):
+        futures.append(submit(task))
+        return futures[-1]
+
+    def rows(pset, *args):
+        if pset == right:
+            raise KeyError("in the rows")
+        return convolution_rows(pset, *args)
+
+    monkeypatch.setattr(worker, "submit", record)
     clear_matrix_cache()
-    with pytest.raises(KeyError):
-        with assembling([standard_left(0.0, 1.0), standard_right(0.0, 1.0)], kern, rule):
-            raise KeyError("in the block")
-    assert opmatrix._PENDING == {}
+    with monkeypatch.context() as m:
+        m.setattr(opmatrix, "convolution_rows", rows)
+        with pytest.raises(KeyError):
+            Assembly([left, right], kern, rule)
+    assert len(futures) > 1 and _queued(futures) == []
+    futures.clear()
+    Assembly([left, right], kern, rule).cancel()
+    assert len(futures) > 1 and _queued(futures) == []
     assert not any(key[0] == "kop" for key in opmatrix._CACHE)
+    clear_matrix_cache()
 
 
 def _assemble_and_send(conn, alpha, rule):
@@ -262,15 +299,15 @@ def test_a_forked_child_assembles_after_its_parent_did():
 
 
 def test_an_interpreter_exits_after_assembling():
-    # one matrix assembled, and a second still pending when the script ends
+    # one matrix assembled, and a second still queued when the script ends
     code = (
-        "from genfrac.opmatrix import assembling, kop_matrix\n"
+        "from genfrac.opmatrix import Assembly, kop_matrix\n"
         "from genfrac.pset import standard_left, standard_right\n"
         "from genfrac.quadrature import QuadratureRule\n"
         "from genfrac.specfun import rl_family\n"
         "rule, kern = QuadratureRule(panels=32), rl_family().instantiate(0.4)\n"
         "kop_matrix(standard_left(0.0, 1.0), kern, rule)\n"
-        "pending = assembling([standard_right(0.0, 1.0)], kern, rule)\n"
+        "pending = Assembly([standard_right(0.0, 1.0)], kern, rule)\n"
         "print('done')\n"
     )
     env = {**os.environ, "PYTHONPATH": str(SRC)}
