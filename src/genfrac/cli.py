@@ -144,11 +144,17 @@ def _cmd_eval(args) -> int:
                 f"--pset interval [{pset.a}, {pset.b}] does not match rectangle "
                 f"axis {args.axis} [{extent[0]}, {extent[1]}]"
             )
+        for axis, flag, value in ((1, "--t", args.t), (2, "--t2", args.t2)):
+            lo, hi = rect.axis1 if axis == 1 else rect.axis2
+            if not lo <= value <= hi:
+                raise UsageError(f"{flag} {value!r} outside rectangle axis {axis} [{lo}, {hi}]")
         f = parse_expression(args.f_expr, arity=2)
         preq = PartialRequest(axis=args.axis, base=req)
         op = {"K": partial_kop, "A": partial_aop, "B": partial_bop}[args.op]
         value = op(preq, f, args.t, args.t2)
     else:
+        if args.rect is not None or args.t2 is not None:
+            raise UsageError("--rect and --t2 need --axis")
         f = parse_expression(args.f_expr, arity=1)
         op = {"K": kop, "A": aop, "B": bop}[args.op]
         value = op(req, f, args.t)
@@ -167,8 +173,12 @@ def _verify_inputs(args, need_eta: bool) -> dict:
     if need_eta:
         if args.eta_expr is None:
             raise UsageError("this identity needs --eta")
+        if args.eta1_expr is not None or args.eta2_expr is not None:
+            raise UsageError("this identity takes --eta, not --eta1 or --eta2")
         inputs["eta"] = parse_expression(args.eta_expr, arity=2)
     else:
+        if args.eta_expr is not None:
+            raise UsageError("the integration-by-parts check takes --eta1 and --eta2, not --eta")
         if args.eta1_expr is None or args.eta2_expr is None:
             missing = "--eta1" if args.eta1_expr is None else "--eta2"
             raise UsageError(f"the integration-by-parts check needs {missing}")

@@ -71,7 +71,8 @@ from .quadrature import (
     NonFiniteSampleError,
     QuadratureRule,
     Rectangle,
-    composite_nodes,
+    rectangle_mesh,
+    sample,
 )
 from .specfun import KernelFamily, rl_family
 
@@ -167,21 +168,7 @@ def _sample(spec: FuncSpec, deriv: int, x: np.ndarray, y: np.ndarray) -> np.ndar
     """spec, or its partial along axis ``deriv`` (0: none), on the grid x by y."""
     fn = spec.partial(deriv) if deriv else spec.fn
     label = "<derivative>" if deriv else spec.label
-    vals = np.broadcast_to(
-        np.asarray(fn(x[:, None], y[None, :]), dtype=float), (x.size, y.size)
-    )
-    if not np.all(np.isfinite(vals)):
-        i, j = np.argwhere(~np.isfinite(vals))[0]
-        raise NonFiniteSampleError(
-            f"{label!r} non-finite at (t1, t2)=({float(x[i])!r}, {float(y[j])!r})"
-        )
-    return np.ascontiguousarray(vals)
-
-
-def _mesh(rect: Rectangle, rule: QuadratureRule):
-    x, wx, _ = composite_nodes(rect.a1, rect.b1, rule)
-    y, wy, _ = composite_nodes(rect.a2, rect.b2, rule)
-    return x, wx, y, wy
+    return np.ascontiguousarray(sample(fn, x[:, None], y[None, :], message=f"{label!r} non-finite"))
 
 
 def _spec_cached(tag, specs, rect, rule, build):
@@ -207,7 +194,7 @@ def _moment(axis, u, v, rect, rule, deriv=0, ends=False):
     """
 
     def build():
-        x, wx, y, wy = mesh = _mesh(rect, rule)
+        x, wx, y, wy = mesh = rectangle_mesh(rect, rule)
         if ends:  # u at (a, b) along ``axis``, weighted (-1, +1)
             pts, signs = np.array(rect.axis1 if axis == 1 else rect.axis2), np.array([-1.0, 1.0])
             x, wx, y, wy = (pts, signs, y, wy) if axis == 1 else (x, wx, pts, signs)

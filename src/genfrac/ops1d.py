@@ -26,7 +26,7 @@ import numpy as np
 
 from .funcspec import FuncSpec
 from .pset import ParameterSet
-from .quadrature import DEFAULT_RULE, NonFiniteSampleError, QuadratureRule, convolution_rows
+from .quadrature import DEFAULT_RULE, QuadratureRule, convolution_rows, sample
 from .specfun import Kernel, KernelFamily
 
 __all__ = ["OperatorRequest", "kop", "aop", "bop"]
@@ -73,10 +73,7 @@ def _convolve_many(
     ts = np.asarray(ts, dtype=float)
     out = np.zeros_like(ts)
     for weight, live, tau, w in convolution_rows(pset, kernel, ts, rule):
-        vals = np.broadcast_to(np.asarray(f(tau), dtype=float), tau.shape)
-        if not np.all(np.isfinite(vals)):
-            bad = float(tau[~np.isfinite(vals)][0])
-            raise NonFiniteSampleError(f"operand non-finite at tau={bad!r}")
+        vals = sample(f, tau, message="operand non-finite")
         out[live] += weight * np.sum(w * vals, axis=1)
     return out
 

@@ -33,23 +33,24 @@ class PartialRequest:
             raise ValueError(f"axis must be 1 or 2, got {self.axis!r}")
 
 
-def _split_point(req: PartialRequest, t1: float, t2: float) -> tuple[float, float]:
-    """Return (active coordinate, frozen coordinate) and validate the former."""
+def _slice(req: PartialRequest, f: FuncSpec, t1: float, t2: float) -> tuple[FuncSpec, float]:
+    """f frozen at the point's other coordinate, and the checked active coordinate."""
+    if f.arity != 2:
+        raise ValueError("partial operators act on two-variable functions")
     active, frozen = (t1, t2) if req.axis == 1 else (t2, t1)
     P = req.base.pset
     if not P.a <= active <= P.b:
         raise ValueError(
             f"point outside rectangle: t{req.axis}={active!r} not in [{P.a!r}, {P.b!r}]"
         )
-    return active, frozen
+    return f.slice_along(req.axis, frozen), active
 
 
+# kop/aop/bop are looked up in this module's globals at each call, so a
+# wrapper set on genfrac.ops2d.kop (as perfbench/tracer.py does) sees it.
 def partial_kop(req: PartialRequest, f: FuncSpec, t1: float, t2: float) -> float:
     """Partial integral-type operator along the active axis."""
-    if f.arity != 2:
-        raise ValueError("partial operators act on two-variable functions")
-    active, frozen = _split_point(req, t1, t2)
-    return kop(req.base, f.slice_along(req.axis, frozen), active)
+    return kop(req.base, *_slice(req, f, t1, t2))
 
 
 def partial_aop(req: PartialRequest, f: FuncSpec, t1: float, t2: float) -> float:
@@ -58,15 +59,9 @@ def partial_aop(req: PartialRequest, f: FuncSpec, t1: float, t2: float) -> float
     Evaluation on the active-axis boundary is refused, matching the
     one-variable operator.
     """
-    if f.arity != 2:
-        raise ValueError("partial operators act on two-variable functions")
-    active, frozen = _split_point(req, t1, t2)
-    return aop(req.base, f.slice_along(req.axis, frozen), active)
+    return aop(req.base, *_slice(req, f, t1, t2))
 
 
 def partial_bop(req: PartialRequest, f: FuncSpec, t1: float, t2: float) -> float:
     """Partial Caputo-type derivative along the active axis."""
-    if f.arity != 2:
-        raise ValueError("partial operators act on two-variable functions")
-    active, frozen = _split_point(req, t1, t2)
-    return bop(req.base, f.slice_along(req.axis, frozen), active)
+    return bop(req.base, *_slice(req, f, t1, t2))

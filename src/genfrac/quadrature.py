@@ -6,7 +6,9 @@ singular convolution kernels, tensor-product integration over a
 rectangle, and counterclockwise contour integration over its boundary.
 
 All rules use open (Gauss) nodes, so integrands are never sampled at
-panel edges, interval endpoints, or the rectangle boundary.
+panel edges, interval endpoints, or the rectangle boundary.  Every
+caller-supplied function in the package is sampled through
+:func:`sample`, which refuses non-finite values.
 """
 
 from __future__ import annotations
@@ -33,7 +35,9 @@ __all__ = [
     "integrate_2d",
     "contour_integral",
     "composite_nodes",
+    "rectangle_mesh",
     "singular_nodes",
+    "sample",
 ]
 
 # Panel grading of the convolution rules.  The Gauss-Jacobi panel at the
@@ -50,6 +54,23 @@ _SIGMA_CACHE_SIZE = 128
 
 class NonFiniteSampleError(ArithmeticError):
     """An integrand produced a non-finite value; message carries the location."""
+
+
+def sample(fn: Callable, *coords, message: str, suffix: str = "") -> np.ndarray:
+    """``fn`` on the broadcast ``coords`` as floats, all of them finite.
+
+    At the first non-finite value (in C order) raises
+    :class:`NonFiniteSampleError` with ``message``, the point (``tau=...``
+    for one coordinate, ``(t1, t2)=(...)`` for two) and ``suffix``.
+    """
+    shape = np.broadcast(*coords).shape
+    vals = np.broadcast_to(np.asarray(fn(*coords), dtype=float), shape)
+    if not np.all(np.isfinite(vals)):
+        k = int(np.flatnonzero(~np.isfinite(vals))[0])
+        at = tuple(float(np.broadcast_to(c, shape).flat[k]) for c in coords)
+        point = f"tau={at[0]!r}" if len(at) == 1 else f"(t1, t2)={at!r}"
+        raise NonFiniteSampleError(f"{message} at {point}{suffix}")
+    return vals
 
 
 @dataclass(frozen=True)
@@ -170,16 +191,19 @@ def graded_edges(lo: float, hi: float, panels: int, strength: float) -> np.ndarr
     return np.concatenate([left, right[1:]])
 
 
+def _gauss_panels(edges: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights, ``order`` per panel between ``edges``."""
+    xg, wg = _leggauss(order)
+    half = 0.5 * np.diff(edges)
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    return (mids[:, None] + half[:, None] * xg).ravel(), (half[:, None] * wg).ravel()
+
+
 @lru_cache(maxsize=None)
 def _composite_unit(order: int, panels: int, strength: float):
     """Nodes/weights/edges of the two-sided graded composite rule on [0, 1]."""
-    xg, wg = _leggauss(order)
     edges = graded_edges(0.0, 1.0, panels, strength)
-    half = 0.5 * np.diff(edges)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    x = (mids[:, None] + half[:, None] * xg[None, :]).ravel()
-    w = (half[:, None] * wg[None, :]).ravel()
-    return x, w, edges
+    return (*_gauss_panels(edges, order), edges)
 
 
 def composite_nodes(lo: float, hi: float, rule: QuadratureRule):
@@ -193,6 +217,13 @@ def composite_nodes(lo: float, hi: float, rule: QuadratureRule):
     return lo + L * x, L * w, lo + L * edges
 
 
+def rectangle_mesh(rect: Rectangle, rule: QuadratureRule):
+    """``(x, wx, y, wy)``: the :func:`composite_nodes` of both axes of ``rect``."""
+    x, wx, _ = composite_nodes(rect.a1, rect.b1, rule)
+    y, wy, _ = composite_nodes(rect.a2, rect.b2, rule)
+    return x, wx, y, wy
+
+
 @lru_cache(maxsize=_SIGMA_CACHE_SIZE)
 def _singular_unit(sigma: float, order: int, panels: int):
     """Unit-interval pattern for int_0^L k(u) phi(u) du, kernel singular at 0.
@@ -203,27 +234,14 @@ def _singular_unit(sigma: float, order: int, panels: int):
     """
     edges = graded_edges(0.0, 1.0, panels, _ABSORBED_GRADING)
     if sigma > 0.0:
-        xj, wj = _jacobi_left(order, sigma)
+        xj, w_jac = _jacobi_left(order, sigma)
         e1 = edges[1]
         u_jac = 0.5 * e1 * (xj + 1.0)
-        w_jac = wj
-        start = 1
+        edges = edges[1:]
     else:
-        u_jac = np.empty(0)
-        w_jac = np.empty(0)
+        u_jac = w_jac = np.empty(0)
         e1 = 0.0
-        start = 0
-    xg, wg = _leggauss(order)
-    rest = edges[start:]
-    if len(rest) >= 2:
-        half = 0.5 * np.diff(rest)
-        mids = 0.5 * (rest[:-1] + rest[1:])
-        u_gl = (mids[:, None] + half[:, None] * xg[None, :]).ravel()
-        w_gl = (half[:, None] * wg[None, :]).ravel()
-    else:
-        u_gl = np.empty(0)
-        w_gl = np.empty(0)
-    return u_jac, w_jac, e1, u_gl, w_gl
+    return (u_jac, w_jac, e1, *_gauss_panels(edges, order))
 
 
 def singular_nodes(kernel: Kernel, lengths, rule: QuadratureRule):
@@ -293,14 +311,8 @@ def integrate_singular(
     target, p, q = (lo, 0.0, 1.0) if orientation == "lo" else (hi, 1.0, 0.0)
     pset = ParameterSet(lo, hi, p, q)
     ((_, _, tau, w),) = convolution_rows(pset, kernel, np.array([target]), rule)
-    tau, w = tau[0], w[0]
-    fx = np.broadcast_to(np.asarray(f(tau), dtype=float), tau.shape)
-    if not np.all(np.isfinite(fx)):
-        bad = float(tau[~np.isfinite(fx)][0])
-        raise NonFiniteSampleError(
-            f"integrand non-finite at tau={bad!r} on [{lo}, {hi}]"
-        )
-    return float(np.sum(w * fx))
+    fx = sample(f, tau[0], message="integrand non-finite", suffix=f" on [{lo}, {hi}]")
+    return float(np.sum(w[0] * fx))
 
 
 def integrate_2d(
@@ -312,28 +324,9 @@ def integrate_2d(
 
     F must broadcast over numpy arrays of points.
     """
-    x, wx, _ = composite_nodes(rect.a1, rect.b1, rule)
-    y, wy, _ = composite_nodes(rect.a2, rect.b2, rule)
-    vals = np.broadcast_to(
-        np.asarray(F(x[:, None], y[None, :]), dtype=float), (x.size, y.size)
-    )
-    if not np.all(np.isfinite(vals)):
-        i, j = np.argwhere(~np.isfinite(vals))[0]
-        raise NonFiniteSampleError(
-            f"integrand non-finite at (t1, t2)=({float(x[i])!r}, {float(y[j])!r})"
-        )
+    x, wx, y, wy = rectangle_mesh(rect, rule)
+    vals = sample(F, x[:, None], y[None, :], message="integrand non-finite")
     return float(wx @ vals @ wy)
-
-
-def _edge_values(fn, t1, t2, edge: str) -> np.ndarray:
-    vals = np.broadcast_to(np.asarray(fn(t1, t2), dtype=float), np.broadcast(t1, t2).shape)
-    if not np.all(np.isfinite(vals)):
-        k = int(np.flatnonzero(~np.isfinite(vals))[0])
-        at = tuple(float(np.broadcast_to(t, vals.shape).flat[k]) for t in (t1, t2))
-        raise NonFiniteSampleError(
-            f"boundary integrand non-finite on {edge} edge at (t1, t2)={at!r}"
-        )
-    return vals
 
 
 def contour_integral(
@@ -348,10 +341,14 @@ def contour_integral(
     (t1 = b1, t2 ascending), top (t2 = b2, t1 descending), left
     (t1 = a1, t2 descending).
     """
-    x, wx, _ = composite_nodes(rect.a1, rect.b1, rule)
-    y, wy, _ = composite_nodes(rect.a2, rect.b2, rule)
-    bottom = float(np.dot(wx, _edge_values(Pfun, x, np.full_like(x, rect.a2), "bottom")))
-    right = float(np.dot(wy, _edge_values(Qfun, np.full_like(y, rect.b1), y, "right")))
-    top = -float(np.dot(wx, _edge_values(Pfun, x, np.full_like(x, rect.b2), "top")))
-    left = -float(np.dot(wy, _edge_values(Qfun, np.full_like(y, rect.a1), y, "left")))
-    return math.fsum((bottom, right, top, left))
+    x, wx, y, wy = rectangle_mesh(rect, rule)
+    terms = []
+    for edge, sign, fn, t1, t2, w in (
+        ("bottom", 1.0, Pfun, x, np.full_like(x, rect.a2), wx),
+        ("right", 1.0, Qfun, np.full_like(y, rect.b1), y, wy),
+        ("top", -1.0, Pfun, x, np.full_like(x, rect.b2), wx),
+        ("left", -1.0, Qfun, np.full_like(y, rect.a1), y, wy),
+    ):
+        vals = sample(fn, t1, t2, message=f"boundary integrand non-finite on {edge} edge")
+        terms.append(sign * float(np.dot(w, vals)))
+    return math.fsum(terms)

@@ -33,13 +33,17 @@ __all__ = [
 def gamma(x: float) -> float:
     """Gamma function for positive real arguments (``math.gamma``).
 
-    Refuses x <= 0, where the kernels and the oracle never need it, and
-    non-finite x.
+    Refuses x <= 0, where the kernels and the oracle never need it,
+    non-finite x, and x whose gamma overflows a float (x below about
+    5.6e-309, where gamma(x) ~ 1/x, or above about 171.6).
     """
     x = float(x)
     if not math.isfinite(x) or x <= 0.0:
         raise ValueError(f"gamma requires a finite x > 0, got {x!r}")
-    return math.gamma(x)
+    try:
+        return math.gamma(x)
+    except OverflowError:
+        raise ValueError(f"gamma({x!r}) overflows a float") from None
 
 
 @dataclass(frozen=True)

@@ -319,6 +319,59 @@ def test_zero_rule_size_is_usage_error(capsys, flag):
     assert "must be >= 1" in err
 
 
+EVAL_K = ["eval", "--op", "K", "--alpha", "0.5", "--pset", "0,1,1,0"]
+PARTIAL_K = EVAL_K + ["--rect", "0,1,0,1", "--f", "t1*t2"]
+IBP = ["--psets", "left,left", "--rect", "0,1,0,1", "--f", "t1", "--g", "t2",
+       "--eta1", "t1", "--eta2", "t2"]
+GREEN = ["--alpha", "0.5", "--rect", "0,1,0,1", "--f", "t1", "--g", "t2", "--eta", "t1*t2"]
+
+
+@pytest.mark.parametrize(
+    "argv, fragment",
+    [
+        # an option that the chosen command would ignore
+        (EVAL_K + ["--f", "1", "--t", "0.5", "--rect", "0,1,0,1"], "need --axis"),
+        (EVAL_K + ["--f", "1", "--t", "0.5", "--t2", "0.3"], "need --axis"),
+        (["verify", "ibp", "--alpha", "0.5", *IBP, "--eta", "t1"], "not --eta"),
+        (["converge", "ibp", "--alpha", "0.5", *IBP, "--eta", "t1"], "not --eta"),
+        (["verify", "green", "--psets", "left,left", *GREEN, "--eta1", "t1"], "--eta1"),
+        (["converge", "green", "--psets", "left,left", *GREEN, "--eta2", "t2"], "--eta2"),
+        (["verify", "green-rl", *GREEN, "--eta2", "t2"], "--eta2"),
+        # a partial operator's point off the rectangle
+        (PARTIAL_K + ["--axis", "1", "--t", "0.5", "--t2", "5"], "--t2 5.0 outside rectangle"),
+        (PARTIAL_K + ["--axis", "1", "--t", "0.5", "--t2", "nan"], "--t2 nan outside rectangle"),
+        (PARTIAL_K + ["--axis", "2", "--t", "5", "--t2", "0.5"], "--t 5.0 outside rectangle"),
+        # an order whose kernel constant 1/gamma(alpha) overflows
+        *(
+            (["eval", "--op", "K", "--alpha", alpha, "--pset", "0,1,1,0", "--f", "1", "--t", "0.5"],
+             f"gamma({alpha}) overflows")
+            for alpha in ("1e-310", "1e-320", "5e-324")
+        ),
+        (["verify", "ibp", "--alpha", "1e-310", *IBP], "gamma(1e-310) overflows"),
+    ],
+    ids=["eval-rect", "eval-t2", "verify-ibp-eta", "converge-ibp-eta", "green-eta1",
+         "converge-green-eta2", "green-rl-eta2", "t2-off-axis-2", "t2-nan", "t-off-axis-1",
+         "alpha-1e-310", "alpha-1e-320", "alpha-5e-324", "verify-ibp-alpha-1e-310"],
+)
+def test_rejected_arguments_are_usage_errors(capsys, argv, fragment):
+    code, out, err = _run(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("genfrac: error:") and fragment in err
+
+
+def test_negative_rect_bounds_use_the_equals_form(capsys):
+    argv = ["verify", "ibp", "--alpha", "0.5", "--psets", "left,left", "--f", "t1", "--g", "t2",
+            "--eta1", "t1", "--eta2", "t2", "--tol", "1e-5"]
+    code, out, _ = _run(capsys, argv + ["--rect=-1,2,0.5,3"])
+    assert code == 0
+    assert json.loads(out)["psets"] == ["-1,2,1,0", "0.5,3,1,0"]
+    # argparse reads a leading "-" in a separate argument as an option
+    code, out, err = _run(capsys, argv + ["--rect", "-1,2,0.5,3"])
+    assert code == 1
+    assert "--rect" in err
+
+
 def test_import_loads_no_scipy():
     # numpy is the only runtime dependency; scipy would double the cold start
     code = (
