@@ -31,10 +31,9 @@ K_{P*} = q L + p R, so a term is p <L, S> + q <R, S> (a zero weight
 skips its half) and P, P* and every other p-set on the interval share
 both halves.  R comes from its own convolution rows, never from L's
 transpose, which would make the integration-by-parts residual vanish by
-construction.  A check starts the halves that its terms need in an
-``opmatrix.Assembly``, builds all of its moment matrices while the
-assembly worker thread fills the halves, joins the assembly and then
-contracts against the cached halves.  Moments are
+construction.  A check builds its moment matrices, then fetches each
+half it needs (mesh rows or end rows) once, which assembles it on the
+calling thread on a cache miss, and contracts.  Moments are
 cached beside the matrices, keyed on the specs' ``cache_key`` (their
 expression trees) and the mesh (rectangle and rule), so a function
 quadruple checked against many orders, p-sets and kernels builds them
@@ -64,7 +63,7 @@ from functools import lru_cache
 import numpy as np
 
 from .funcspec import FuncSpec
-from .opmatrix import Assembly, cached, kop_end_rows, kop_matrix
+from .opmatrix import cached, kop_end_rows, kop_matrix
 from .pset import ParameterSet, standard_left, standard_right
 from .quadrature import (
     DEFAULT_RULE,
@@ -213,38 +212,33 @@ def _halves(a: float, b: float) -> tuple[ParameterSet, ParameterSet]:
 
 
 def _sides(pset: ParameterSet):
-    """K_P and K_{P*} as weighted halves, ((weight, half), (weight, half)) each,
-    and the halves that the two need.
+    """K_P and K_{P*} as weighted halves, ((weight, half), (weight, half)) each.
 
     The halves are the unweighted p-sets <a, b, 1, 0> and <a, b, 0, 1>.
     """
     left, right = _halves(pset.a, pset.b)
-    needed = (left, right) if pset.p or pset.q else ()
-    return ((pset.p, left), (pset.q, right)), ((pset.q, left), (pset.p, right)), needed
+    return ((pset.p, left), (pset.q, right)), ((pset.q, left), (pset.p, right))
 
 
-def _terms(kern, rect, rule, needed, *specs) -> list[float]:
+def _terms(kern, rect, rule, *specs) -> list[float]:
     """Each ``(halves, axis, u, v, deriv, ends)`` of ``specs`` as a sum of w <K_half, S>.
 
     That is iint u (K_P v), or with ``ends`` the jump J(u, v; P, axis).
-    The worker thread assembles the ``needed`` halves while this one
-    builds the moments; the contractions then read the cached halves.
+    The check fetches each half's mesh rows and end rows at most once, so
+    a half too large for the cache is assembled once per check, not once
+    per term.
     """
-    assembly = Assembly(needed, kern, rule)
-    try:
-        moments = [
-            _moment(axis, u, v, rect, rule, deriv, ends) for _, axis, u, v, deriv, ends in specs
-        ]
-        assembly.join()
-    finally:
-        assembly.cancel()
+    moments = [_moment(axis, u, v, rect, rule, deriv, ends) for _, axis, u, v, deriv, ends in specs]
+    fetched = {}
     values = []
     for (halves, _, _, _, _, ends), S in zip(specs, moments):
         total = 0.0
         for weight, half in halves:
             if weight != 0.0:
-                K = (kop_end_rows if ends else kop_matrix)(half, kern, rule)
-                total += weight * float(np.vdot(K, S))
+                if (half, ends) not in fetched:
+                    fetch = kop_end_rows if ends else kop_matrix
+                    fetched[half, ends] = fetch(half, kern, rule)
+                total += weight * float(np.vdot(fetched[half, ends], S))
         values.append(total)
     return values
 
@@ -263,14 +257,13 @@ def verify_ibp_2d(
 ) -> VerificationReport:
     """Check the 2D integration-by-parts identity; boundary term is zero."""
     _check_inputs((f, g, eta1, eta2), alpha, p1, p2, rect)
-    (k1, k1s, h1), (k2, k2s, h2) = _sides(p1), _sides(p2)
+    (k1, k1s), (k2, k2s) = _sides(p1), _sides(p2)
     # K_{P*} weights the same two halves, never K_P's transpose: the
     # residual would then vanish by construction.
     lhs1, lhs2, rhs1, rhs2 = _terms(
         kernel.instantiate(alpha),
         rect,
         rule,
-        h1 + h2,
         (k1, 1, g, eta1, 0, False),
         (k2, 2, f, eta2, 0, False),
         (k1s, 1, eta1, g, 0, False),
@@ -298,12 +291,11 @@ def verify_green(
     # C^1 hypotheses: all three operands need partial derivatives.
     for spec, axis in ((g, 1), (f, 2), (eta, 1), (eta, 2)):
         spec.partial(axis)
-    (k1, k1s, h1), (k2, k2s, h2) = _sides(p1), _sides(p2)
+    (k1, k1s), (k2, k2s) = _sides(p1), _sides(p2)
     lhs1, lhs2, area1, area2, jump1, jump2, edge1, edge2 = _terms(
         kernel.instantiate(1.0 - alpha),
         rect,
         rule,
-        h1 + h2,
         (k1, 1, g, eta, 1, False),
         (k2, 2, f, eta, 2, False),
         (k1s, 1, eta, g, 1, False),

@@ -26,10 +26,13 @@ import numpy as np
 
 from .funcspec import FuncSpec
 from .pset import ParameterSet
-from .quadrature import DEFAULT_RULE, QuadratureRule, convolution_rows, sample
+from .quadrature import DEFAULT_RULE, QuadratureRule, convolve
 from .specfun import Kernel, KernelFamily
 
 __all__ = ["OperatorRequest", "kop", "aop", "bop"]
+
+_NONFINITE = "operand non-finite"
+
 
 @dataclass(frozen=True)
 class OperatorRequest:
@@ -62,22 +65,6 @@ class OperatorRequest:
         return self.kernel.instantiate(order)
 
 
-def _convolve_many(
-    pset: ParameterSet,
-    kernel: Kernel,
-    rule: QuadratureRule,
-    f,
-    ts: np.ndarray,
-) -> np.ndarray:
-    """Weighted left+right kernel convolutions of f at many points at once."""
-    ts = np.asarray(ts, dtype=float)
-    out = np.zeros_like(ts)
-    for weight, live, tau, w in convolution_rows(pset, kernel, ts, rule):
-        vals = sample(f, tau, message="operand non-finite")
-        out[live] += weight * np.sum(w * vals, axis=1)
-    return out
-
-
 def kop(req: OperatorRequest, f: FuncSpec, t: float) -> float:
     """Generalized fractional integral of f at t.
 
@@ -92,7 +79,7 @@ def kop(req: OperatorRequest, f: FuncSpec, t: float) -> float:
     if not P.a <= t <= P.b:
         raise ValueError(f"t={t!r} outside [{P.a!r}, {P.b!r}]")
     kern = req.instantiated_kernel()
-    return float(_convolve_many(P, kern, req.rule, f.fn, np.array([t]))[0])
+    return float(convolve(f.fn, P, kern, [t], req.rule, message=_NONFINITE)[0])
 
 
 def _fd_stencil(t: float, a: float, b: float):
@@ -151,7 +138,7 @@ def aop(req: OperatorRequest, f: FuncSpec, t: float) -> float:
         )
     pts, coeffs = _fd_stencil(t, P.a, P.b)
     kern = req.instantiated_kernel()
-    vals = _convolve_many(P, kern, req.rule, f.fn, pts)
+    vals = convolve(f.fn, P, kern, pts, req.rule, message=_NONFINITE)
     result = float(np.dot(coeffs, vals))
     # Rounding in the values of K, amplified by the stencil weights.  Where
     # the step has shrunk near an end that carries no weight, K is smooth,
@@ -180,7 +167,7 @@ def bop(req: OperatorRequest, f: FuncSpec, t: float) -> float:
         raise ValueError(f"t={t!r} outside [{P.a!r}, {P.b!r}]")
     dfn = f.partial(1)
     kern = req.instantiated_kernel()
-    return float(_convolve_many(P, kern, req.rule, dfn, np.array([t]))[0])
+    return float(convolve(dfn, P, kern, [t], req.rule, message=_NONFINITE)[0])
 
 
 def leibniz_boundary_terms(
@@ -215,4 +202,4 @@ def _kop_values(req: OperatorRequest, f: FuncSpec, ts) -> np.ndarray:
     if not ((ts >= req.pset.a) & (ts <= req.pset.b)).all():
         raise ValueError("evaluation points outside the p-set interval")
     kern = req.instantiated_kernel()
-    return _convolve_many(req.pset, kern, req.rule, f.fn, ts)
+    return convolve(f.fn, req.pset, kern, ts, req.rule, message=_NONFINITE)

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from dataclasses import dataclass
 
 __all__ = [
@@ -45,6 +46,14 @@ class ParameterSet:
                 raise ValueError(f"p-set field {name} must be a finite real, got {v!r}")
         if not self.a < self.b:
             raise ValueError(f"p-set needs a < b, got a={self.a!r}, b={self.b!r}")
+        # Below the smallest normal double the width keeps too few bits:
+        # the operators lose accuracy without warning, then return nan.
+        if self.b - self.a < sys.float_info.min:
+            raise ValueError(
+                f"p-set interval [{self.a!r}, {self.b!r}] is too small: its width "
+                f"{self.b - self.a!r} is below the smallest normal double "
+                f"{sys.float_info.min!r}"
+            )
 
     def dual(self) -> "ParameterSet":
         """Swap the weights p and q; the interval is unchanged."""

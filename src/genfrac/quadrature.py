@@ -1,9 +1,17 @@
 """Quadrature engines.
 
 Composite Gauss-Legendre rules on graded panel meshes for smooth and
-endpoint-rough integrands, Gauss-Jacobi weight absorption for weakly
-singular convolution kernels, tensor-product integration over a
-rectangle, and counterclockwise contour integration over its boundary.
+endpoint-rough integrands, one mesh-aligned rule for weakly singular
+convolutions (Gauss-Jacobi next to the target, geometric Gauss-Legendre
+pieces on the panels near it, one fixed Gauss-Legendre rule on every far
+panel), tensor-product integration over a rectangle, and counterclockwise
+contour integration over its boundary.
+
+The convolution rule splits at the edges of the operand's own mesh, so
+:mod:`genfrac.opmatrix` interpolates only the points near each target
+one by one; the far points of a panel are the same for every target and
+go through one fixed interpolation matrix (product integration with
+local corrections: Kolm & Rokhlin 2001, Helsing & Ojala 2008).
 
 All rules use open (Gauss) nodes, so integrands are never sampled at
 panel edges, interval endpoints, or the rectangle boundary.  Every
@@ -15,9 +23,10 @@ from __future__ import annotations
 
 import math
 import numbers
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -31,6 +40,7 @@ __all__ = [
     "NonFiniteSampleError",
     "DEFAULT_RULE",
     "convolution_rows",
+    "convolve",
     "integrate_singular",
     "integrate_2d",
     "contour_integral",
@@ -40,11 +50,14 @@ __all__ = [
     "sample",
 ]
 
-# Panel grading of the convolution rules.  The Gauss-Jacobi panel at the
-# singular end already absorbs the kernel singularity, so what matters is
-# a bounded width ratio between neighbouring panels, not aggressive
-# refinement.
-_ABSORBED_GRADING = 2.0
+# Width ratio of the geometric pieces that split a panel next to a
+# convolution's target.  At 0.15 the error stalled near 3e-12.
+_NEAR_RATIO = 0.3
+_LOG_RATIO = -math.log(_NEAR_RATIO)
+
+# Meshes whose far-panel plans are kept.  The operators of one interval
+# and rule ask for the same plan on every call.
+_PLAN_CACHE_SIZE = 64
 
 # Entries kept by the caches keyed on the singularity exponent.  Every
 # fresh order alpha is a new key, so a sweep over alpha would otherwise
@@ -77,15 +90,13 @@ def sample(fn: Callable, *coords, message: str, suffix: str = "") -> np.ndarray:
 class QuadratureRule:
     """Panel-structured Gaussian rule.
 
-    :func:`integrate_singular` and the convolution rows use
-    ``order_per_panel`` Gauss-Jacobi nodes on the panel touching the
-    singular endpoint, whose weight absorbs the kernel's power singularity
-    exactly, and Gauss-Legendre panels on a mildly graded mesh elsewhere.
-
-    ``grading_strength`` controls the two-sided panel grading of the
-    product-integral meshes built by :func:`composite_nodes`; integrands
-    there inherit endpoint roughness of type (t - a)**alpha from the
-    convolution fields, which heavy grading resolves.
+    :func:`composite_nodes` puts ``order_per_panel`` Gauss-Legendre nodes
+    on each of ``panels`` panels, graded toward both endpoints at
+    ``grading_strength``; integrands there inherit endpoint roughness of
+    type (t - a)**alpha from the convolution fields, which heavy grading
+    resolves.  The convolutions split at the same panel edges
+    (:func:`convolution_rows`): ``far_order`` points on a far panel,
+    ``order_per_panel`` on every piece near the target.
     """
 
     order_per_panel: int = 16
@@ -110,6 +121,13 @@ class QuadratureRule:
     @property
     def node_count(self) -> int:
         return self.order_per_panel * self.panels
+
+    @property
+    def far_order(self) -> int:
+        """Points on a far panel of a convolution.  Four more than a panel's
+        nodes, so that no far point lands on a node and the matrices of the
+        two halves are not each other's transposes by construction."""
+        return self.order_per_panel + 4
 
     def with_panels(self, panels: int) -> "QuadratureRule":
         return QuadratureRule(self.order_per_panel, panels, self.grading_strength)
@@ -167,12 +185,12 @@ def _jacobi_left(n: int, sigma: float) -> tuple[np.ndarray, np.ndarray]:
     """
     k = np.arange(1, n, dtype=float)
     s = 2.0 * k - sigma
-    diag = np.empty(n)
-    diag[0] = -sigma / (2.0 - sigma)
-    diag[1:] = sigma * sigma / (s * (s + 2.0))
-    off = 2.0 * k * (k - sigma) / (s * np.sqrt((s - 1.0) * (s + 1.0)))
+    T = np.zeros((n, n))
+    T[0, 0] = -sigma / (2.0 - sigma)
+    T.flat[n + 1 :: n + 1] = sigma * sigma / (s * (s + 2.0))
     # eigh reads the lower triangle only
-    x, V = np.linalg.eigh(np.diag(diag) + np.diag(off, -1))
+    T.flat[n :: n + 1] = 2.0 * k * (k - sigma) / (s * np.sqrt((s - 1.0) * (s + 1.0)))
+    x, V = np.linalg.eigh(T)
     mu0 = 2.0 ** (1.0 - sigma) / (1.0 - sigma)  # int_{-1}^{1} (1 + x)**(-sigma) dx
     # V[0] has unit norm in exact arithmetic; rescaling it makes sum(w) == mu0
     v0 = V[0] ** 2
@@ -191,19 +209,20 @@ def graded_edges(lo: float, hi: float, panels: int, strength: float) -> np.ndarr
     return np.concatenate([left, right[1:]])
 
 
-def _gauss_panels(edges: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights, ``order`` per panel between ``edges``."""
-    xg, wg = _leggauss(order)
-    half = 0.5 * np.diff(edges)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    return (mids[:, None] + half[:, None] * xg).ravel(), (half[:, None] * wg).ravel()
-
-
 @lru_cache(maxsize=None)
 def _composite_unit(order: int, panels: int, strength: float):
     """Nodes/weights/edges of the two-sided graded composite rule on [0, 1]."""
     edges = graded_edges(0.0, 1.0, panels, strength)
-    return (*_gauss_panels(edges, order), edges)
+    xg, wg = _leggauss(order)
+    half = 0.5 * np.diff(edges)
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    return (mids[:, None] + half[:, None] * xg).ravel(), (half[:, None] * wg).ravel(), edges
+
+
+def _mesh_edges(lo: float, hi: float, rule: QuadratureRule) -> np.ndarray:
+    """The panel edges of ``composite_nodes(lo, hi, rule)``, alone."""
+    _, _, edges = _composite_unit(rule.order_per_panel, rule.panels, rule.grading_strength)
+    return lo + (hi - lo) * edges
 
 
 def composite_nodes(lo: float, hi: float, rule: QuadratureRule):
@@ -224,68 +243,175 @@ def rectangle_mesh(rect: Rectangle, rule: QuadratureRule):
     return x, wx, y, wy
 
 
-@lru_cache(maxsize=_SIGMA_CACHE_SIZE)
-def _singular_unit(sigma: float, order: int, panels: int):
-    """Unit-interval pattern for int_0^L k(u) phi(u) du, kernel singular at 0.
+def singular_nodes(kernel: Kernel, gaps, lo, hi, n: int, touching: int):
+    """Kernel-folded Gauss nodes on pieces of a convolution, in distances from its target.
 
-    Returns ``(u_jac, w_jac, e1, u_gl, w_gl)`` in units of L: Jacobi-panel
-    nodes and raw weights (empty for a regular kernel, sigma = 0), the
-    first edge, and Gauss-Legendre nodes/weights of the remaining panels.
-    """
-    edges = graded_edges(0.0, 1.0, panels, _ABSORBED_GRADING)
-    if sigma > 0.0:
-        xj, w_jac = _jacobi_left(order, sigma)
-        e1 = edges[1]
-        u_jac = 0.5 * e1 * (xj + 1.0)
-        edges = edges[1:]
-    else:
-        u_jac = w_jac = np.empty(0)
-        e1 = 0.0
-    return (u_jac, w_jac, e1, *_gauss_panels(edges, order))
-
-
-def singular_nodes(kernel: Kernel, lengths, rule: QuadratureRule):
-    """Kernel-folded nodes and weights for leftward-singular convolutions.
-
-    For each L in ``lengths`` builds ``(u, w)`` rows such that
-    ``sum(w * phi(u)) ~ int_0^L kernel(u) phi(u) du``.  The kernel values
-    are folded into the weights; ``phi`` never sees the singularity.
-    Returns arrays of shape ``(len(lengths), M)``.
+    Piece k covers the distances ``gaps[k] + [lo[k], hi[k]]``.  The first
+    ``touching`` pieces start at the target (gap and lo 0), and their
+    Gauss-Jacobi weights absorb the kernel's power exactly; the others
+    take Gauss-Legendre.  Returns ``(o, w)``, each (pieces, n): offsets o
+    in [lo, hi] and weights w with
+    ``sum(w * phi(o)) ~ int_lo^hi kernel(gaps + o) phi(o) do``.  The
+    kernel's argument is the gap plus the offset, never a difference of
+    two rounded points.
     """
     sigma = kernel.singularity_exponent
-    u_jac, w_jac, e1, u_gl, w_gl = _singular_unit(sigma, rule.order_per_panel, rule.panels)
-    L = np.atleast_1d(np.asarray(lengths, dtype=float))[:, None]
-    parts_u = []
-    parts_w = []
-    if u_jac.size:
-        uj = L * u_jac[None, :]
-        scale = (0.5 * e1 * L) ** (1.0 - sigma)
-        parts_u.append(uj)
-        parts_w.append(scale * w_jac[None, :] * (kernel.evaluate(uj) * uj**sigma))
-    if u_gl.size:
-        ug = L * u_gl[None, :]
-        parts_u.append(ug)
-        parts_w.append(L * w_gl[None, :] * kernel.evaluate(ug))
-    u = np.concatenate(parts_u, axis=1)
-    w = np.concatenate(parts_w, axis=1)
-    return u, w
+    xg, wg = _leggauss(n)
+    xj, wj = _jacobi_left(n, sigma)
+    half = (0.5 * (hi - lo))[:, None]
+    o = lo[:, None] + half * (1.0 + xg)
+    o[:touching] = half[:touching] * (1.0 + xj)
+    u = o + gaps[:, None]
+    w = half * kernel.evaluate(u)
+    # the Jacobi weight is (u / half)**-sigma; k u**sigma stays smooth
+    w[:touching] *= wj * (u[:touching] / half[:touching]) ** sigma
+    w[touching:] *= wg
+    return o, w
+
+
+class Rows(NamedTuple):
+    """K_P at some targets, as :func:`convolution_rows` makes it.
+
+    The points near a target come in pieces of ``order_per_panel``
+    points: piece k lies in panel ``pans[k]`` and adds
+    ``sum(w[k] * f(tau[k]))`` to the row of target ``rows[k]``, where
+    ``tau = ends[:, None] + offsets``.  The offsets are exact to rounding
+    of their own size, so ``(ends - x) + offsets`` is the distance of a
+    point from a node x beside it to that accuracy too.  The pieces of
+    one (row, panel) pair are adjacent.
+
+    The far panels come in blocks ``(side, rows, pans, w, tau)``, side 0
+    for the leftward half and 1 for the rightward one: ``w`` (rows, pans,
+    far_order) holds the weights of each target in ``rows`` at the far
+    points ``tau`` of the panels ``pans``, flattened panel by panel.
+    Those points are the same for every target: with
+    ``ends, offsets = far_points[side]``, they are
+    ``ends[pan] + offsets[pan]``.  All weights hold p or q.
+    """
+
+    rows: np.ndarray
+    pans: np.ndarray
+    ends: np.ndarray
+    offsets: np.ndarray
+    w: np.ndarray
+    far: list
+    far_points: dict
+
+
+@lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _plan(edges: bytes, n: int):
+    """What the leftward convolution at a target in panel J needs of the mesh, for each J.
+
+    Panel j < J is far for every target in panel J when it ends at least
+    half its width before e_J; the other panels below J are near.  Returns
+    the edges as a list, the offsets of each panel's n far points from its
+    right end toward a, (panels, n), and per J: the far panels, and for
+    their points in one row the points, their right ends, offsets and
+    weights h/2 w_i; and the near panels as (panel, right end, width).
+    """
+    e = np.frombuffer(edges)
+    h = np.diff(e)
+    xg, wg = _leggauss(n)
+    off = 0.5 * h[:, None] * (1.0 + xg)
+    weights = 0.5 * h[:, None] * wg
+    ends, widths = e[1:].tolist(), h.tolist()
+    per_panel = []
+    for J in range(h.size):
+        is_far = e[J] - e[1 : J + 1] >= 0.5 * h[:J]
+        far = np.flatnonzero(is_far)
+        near = [(j, ends[j], widths[j]) for j in np.flatnonzero(~is_far).tolist()]
+        far_ends, far_off = np.repeat(e[far + 1], n), off[far].ravel()
+        per_panel.append((far, far_ends - far_off, far_ends, far_off, weights[far].ravel(), near))
+    return e.tolist(), off, per_panel
 
 
 def convolution_rows(
-    pset: ParameterSet, kernel: Kernel, targets: np.ndarray, rule: QuadratureRule
-):
-    """Yield ``(weight, live, tau, w)`` for each nonzero half of K_P at targets.
+    pset: ParameterSet, kernel: Kernel, targets: np.ndarray, edges: np.ndarray, rule: QuadratureRule
+) -> Rows:
+    """K_P at ``targets`` as :class:`Rows`, on the mesh of ``edges``.
 
-    ``weight * sum(w * f(tau), axis=1)`` is that half at ``targets[live]``.
+    ``edges`` are the panel edges of the mesh of [a, b], as
+    :func:`composite_nodes` gives them.  For a target t in panel J, the
+    leftward half splits [a, t] at the edges.  A panel that ends at least
+    half its width before e_J is far: one Gauss-Legendre piece of
+    ``rule.far_order`` points, the same for every target in J.  The
+    part of panel J below t takes Gauss-Jacobi.  A nearer panel is split
+    geometrically toward its end at t, at ratio ``_NEAR_RATIO``, into
+    Gauss-Legendre pieces.  The rightward half is the leftward one of the
+    mirrored targets and mesh.
     """
-    for weight, sign, L in ((pset.p, -1.0, targets - pset.a), (pset.q, 1.0, pset.b - targets)):
+    n = rule.far_order
+    last = edges.size - 2
+    jacobi, near, far, far_points = [], [], [], {}
+    for side, weight in enumerate((pset.p, pset.q)):
         if weight == 0.0:
             continue
-        live = L > 0.0
-        if not live.any():
-            continue
-        u, w = singular_nodes(kernel, L[live], rule)
-        yield weight, live, targets[live, None] + sign * u, w
+        t, side_edges, sign = (-targets, -edges[::-1], -1.0) if side else (targets, edges, 1.0)
+        e, off, per_panel = _plan(side_edges.tobytes(), n)
+        far_points[side] = (edges[:-1], off[::-1]) if side else (edges[1:], -off)
+        ts = t.tolist()
+        groups = {}  # panel J -> the targets in (e_J, e_(J+1)]; none at a, whose integral is empty
+        for r, x in enumerate(ts):
+            J = bisect_left(e, x) - 1
+            if J >= 0:
+                groups.setdefault(J, []).append(r)
+        for J, rs in groups.items():
+            panels, points, ends, o, fw, near_panels = per_panel[J]
+            if panels.size:
+                rows = np.array(rs)
+                w = (weight * fw) * kernel.evaluate((t[rows, None] - ends) + o)
+                w = w.reshape(rows.size, panels.size, n)
+                pans, tau = (last - panels, -points) if side else (panels, points)
+                far.append((side, rows, pans, w, tau))
+            pan = last - J if side else J
+            for r in rs:
+                # Gauss-Jacobi on [e_J, t]; a near panel in geometric pieces
+                # toward its right end, down to one no wider than twice its gap
+                x = ts[r]
+                jacobi.append((r, pan, sign * x, 0.0, 0.0, x - e[J], sign, weight))
+                for j, end, top in near_panels:
+                    gap = x - end
+                    # logs apart: top / gap can overflow
+                    depth = math.ceil((math.log(top) - math.log(2.0 * gap)) / _LOG_RATIO)
+                    p = last - j if side else j
+                    for _ in range(depth):
+                        near.append((r, p, sign * end, gap, top * _NEAR_RATIO, top, sign, weight))
+                        top *= _NEAR_RATIO
+                    near.append((r, p, sign * end, gap, 0.0, top, sign, weight))
+    # both halves' pieces in a target's own panel side by side
+    jacobi.sort(key=lambda piece: piece[0])
+    rows, pans, ends, gaps, lo, hi, sign, weight = np.array(jacobi + near).reshape(-1, 8).T
+    o, w = singular_nodes(kernel, gaps, lo, hi, rule.order_per_panel, len(jacobi))
+    return Rows(
+        rows.astype(np.intp),
+        pans.astype(np.intp),
+        ends,
+        -sign[:, None] * o,
+        weight[:, None] * w,
+        far,
+        far_points,
+    )
+
+
+def convolve(f: Callable, pset: ParameterSet, kernel: Kernel, targets, rule, *, message, suffix=""):
+    """K_P f at ``targets``, with f sampled at the points of :func:`convolution_rows`.
+
+    The mesh is that of ``composite_nodes(pset.a, pset.b, rule)``.
+    ``message`` and ``suffix`` go to :func:`sample`.
+    """
+    targets = np.asarray(targets, dtype=float)
+    K = convolution_rows(pset, kernel, targets, _mesh_edges(pset.a, pset.b, rule), rule)
+    near = (K.ends[:, None] + K.offsets).ravel()
+    # every point in one sample, a far block's points once for all its targets
+    tau = np.concatenate([near, *(block[4] for block in K.far)])
+    vals = sample(f, tau, message=message, suffix=suffix)
+    rows = np.repeat(K.rows, K.w.shape[1])
+    out = np.bincount(rows, K.w.ravel() * vals[: near.size], minlength=targets.size)
+    start = near.size
+    for _, r, _, w, far_tau in K.far:
+        out[r] += w.reshape(r.size, -1) @ vals[start : start + far_tau.size]
+        start += far_tau.size
+    return out
 
 
 def integrate_singular(
@@ -310,9 +436,10 @@ def integrate_singular(
     # The rightward half of K at lo, or the leftward half at hi.
     target, p, q = (lo, 0.0, 1.0) if orientation == "lo" else (hi, 1.0, 0.0)
     pset = ParameterSet(lo, hi, p, q)
-    ((_, _, tau, w),) = convolution_rows(pset, kernel, np.array([target]), rule)
-    fx = sample(f, tau[0], message="integrand non-finite", suffix=f" on [{lo}, {hi}]")
-    return float(np.sum(w[0] * fx))
+    out = convolve(
+        f, pset, kernel, [target], rule, message="integrand non-finite", suffix=f" on [{lo}, {hi}]"
+    )
+    return float(out[0])
 
 
 def integrate_2d(

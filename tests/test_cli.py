@@ -348,10 +348,17 @@ GREEN = ["--alpha", "0.5", "--rect", "0,1,0,1", "--f", "t1", "--g", "t2", "--eta
             for alpha in ("1e-310", "1e-320", "5e-324")
         ),
         (["verify", "ibp", "--alpha", "1e-310", *IBP], "gamma(1e-310) overflows"),
+        # an interval narrower than the smallest normal double
+        *(
+            (["eval", "--op", op, "--alpha", "0.5", "--pset", "0,1e-320,1,0", "--f", "t",
+              "--t", "5e-321"], "too small")
+            for op in ("K", "B")
+        ),
     ],
     ids=["eval-rect", "eval-t2", "verify-ibp-eta", "converge-ibp-eta", "green-eta1",
          "converge-green-eta2", "green-rl-eta2", "t2-off-axis-2", "t2-nan", "t-off-axis-1",
-         "alpha-1e-310", "alpha-1e-320", "alpha-5e-324", "verify-ibp-alpha-1e-310"],
+         "alpha-1e-310", "alpha-1e-320", "alpha-5e-324", "verify-ibp-alpha-1e-310",
+         "subnormal-width-K", "subnormal-width-B"],
 )
 def test_rejected_arguments_are_usage_errors(capsys, argv, fragment):
     code, out, err = _run(capsys, argv)

@@ -2,7 +2,6 @@
 
 import dataclasses
 import json
-import threading
 
 import numpy as np
 import pytest
@@ -17,7 +16,7 @@ from genfrac.identities import (
     verify_green_rl_corollary,
     verify_ibp_2d,
 )
-from genfrac import identities, opmatrix, quadrature
+from genfrac import identities, opmatrix
 from genfrac.corpus import CORPUS_FUNCTIONS
 from genfrac.identities import _moment
 from genfrac.opmatrix import clear_matrix_cache, kop_end_rows, kop_matrix
@@ -25,7 +24,7 @@ from genfrac.ops1d import OperatorRequest
 from genfrac.ops2d import PartialRequest, partial_kop
 from genfrac.pset import ParameterSet, standard_left, standard_right
 from genfrac.quadrature import NonFiniteSampleError, QuadratureRule, Rectangle, integrate_2d
-from genfrac.specfun import KernelFamily, rl_family, rl_kernel, tempered_family
+from genfrac.specfun import rl_family, rl_kernel, tempered_family
 
 IBP_CONST_BOTH_SIDES = 1.5045055561273500985  # 4 / (3 gamma(3/2))
 
@@ -460,26 +459,40 @@ def test_nonfinite_grid_raises_on_every_call():
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_a_check_that_raises_leaves_no_pending_build(monkeypatch):
-    started = []
-
-    class Spy(opmatrix.Assembly):
-        def __init__(self, *args):
-            super().__init__(*args)
-            started.append(self)
-
-    monkeypatch.setattr(identities, "Assembly", Spy)
+    # a grid that raises comes before any assembly; a kernel that raises in
+    # the second half's assembly keeps only the finished first half
     rule = QuadratureRule(panels=16)
     args = (e2("t1"), e2("log(t1-0.5)"), e2("t2"), e2("t1"), 0.45, LEFT1, LEFT1, RL, RECT)
     for check in (verify_ibp_2d, lambda *a: verify_green(*a[:3], *a[4:])):
         clear_matrix_cache()
-        started.clear()
         with pytest.raises(NonFiniteSampleError):
             check(*args, rule)
-        # both halves were started before the grid raised, then dropped
-        (assembly,) = started
-        assert sorted(key[1] for key in assembly.outs) == UNIT_HALVES
-        assert all(f.running() or f.done() for f, _ in assembly.blocks)
         assert not any(key[0] == "kop" for key in opmatrix._CACHE)
+    made = []
+    assemble = opmatrix._assemble
+
+    def raising(x):
+        raise KeyError("in the second half")
+
+    def spy(pset, kern, rule):
+        # the second half's kernel raises partway through its assembly
+        made.append(pset)
+        if len(made) == 2:
+            kern = dataclasses.replace(kern, evaluate=raising)
+        return assemble(pset, kern, rule)
+
+    monkeypatch.setattr(opmatrix, "_assemble", spy)
+    specs = [e2(s) for s in QUAD[:3]]
+    clear_matrix_cache()
+    with pytest.raises(KeyError):
+        verify_green(*specs, 0.4, LEFT1, LEFT1, RL, RECT, rule)
+    monkeypatch.undo()
+    assert _kop_psets() == [UNIT_HALVES[1]]  # the left half, whole
+    (key,) = [key for key in opmatrix._CACHE if key[0] == "kop"]
+    got = opmatrix._CACHE[key][0]
+    clear_matrix_cache()
+    for cold, warm in zip(opmatrix._matrices(LEFT1, rl_kernel(0.6), rule), got):
+        np.testing.assert_array_equal(cold, warm)
     clear_matrix_cache()
 
 
@@ -560,13 +573,45 @@ def test_a_zero_weight_skips_its_half(monkeypatch):
     rule = QuadratureRule(order_per_panel=8, panels=4)
     specs = [e2(s) for s in QUAD]
     right, left = UNIT_HALVES
-    # lhs terms weight K_P, rhs terms K_{P*}; one term per axis and side
+    # lhs terms weight K_P, rhs terms K_{P*}; a check fetches each half once
     verify_ibp_2d(*specs, 0.4, LEFT1, LEFT1, RL, RECT, rule)
-    assert fetched == [left, left, right, right]
+    assert fetched == [left, right]
     fetched.clear()
     mixed = ParameterSet(0.0, 1.0, 0.3, 0.7)
     verify_ibp_2d(*specs, 0.4, mixed, mixed, RL, RECT, rule)
-    assert fetched == [left, right] * 4
+    assert fetched == [left, right]
+    # axis 2 on [0, 2] has no weight at all, so neither of its halves is fetched
+    fetched.clear()
+    tall = Rectangle(0.0, 1.0, 0.0, 2.0)
+    verify_ibp_2d(*specs, 0.4, LEFT1, ParameterSet(0.0, 2.0, 0.0, 0.0), RL, tall, rule)
+    assert fetched == [left, right]
+
+
+@pytest.mark.parametrize("identity", ["ibp2d", "green"])
+def test_a_half_over_the_budget_is_assembled_once_per_fetch(monkeypatch, identity):
+    # at 16x8 a half is 130 x 128 doubles, 133 kB: over a 100 kB budget it
+    # is never kept, so each check assembles its halves again, but only
+    # once for the mesh rows and once for the end rows of each
+    made = []
+    assemble = opmatrix._assemble
+
+    def spy(pset, *args):
+        made.append(pset.as_tuple())
+        return assemble(pset, *args)
+
+    monkeypatch.setattr(opmatrix, "_assemble", spy)
+    monkeypatch.setattr(opmatrix, "_CACHE_BYTES", 100_000)
+    clear_matrix_cache()
+    mixed = ParameterSet(0.0, 1.0, 0.3, 0.7)
+    specs = [e2(s) for s in QUAD]
+    if identity == "ibp2d":
+        verify_ibp_2d(*specs, 0.4, mixed, mixed, RL, RECT)
+        assert sorted(made) == UNIT_HALVES  # no end rows in this check
+    else:
+        verify_green(*specs[:3], 0.4, mixed, mixed, RL, RECT)
+        assert sorted(made) == sorted(UNIT_HALVES * 2)
+    assert not any(key[0] == "kop" for key in opmatrix._CACHE)
+    clear_matrix_cache()
 
 
 def test_fresh_specs_of_the_same_texts_add_no_grids_or_moments():
@@ -613,53 +658,6 @@ def test_a_sweep_keeps_every_moment_of_the_corpus_quadruples(monkeypatch):
         assert [tag for tag in made if tag[0] in ("moment", "jump")] == []
     finally:
         clear_matrix_cache()
-
-
-def test_nodes_and_kernel_values_are_made_on_the_calling_thread(monkeypatch):
-    # a traced run times these two on the thread that called the check;
-    # the barycentric passes run on the assembly worker or, for the blocks
-    # it has not begun, on the thread that joins the build
-    calls = {"singular_nodes": [], "evaluate": [], "_fill": []}
-
-    def on_thread(name, fn):
-        def wrapped(*args, **kwargs):
-            calls[name].append(threading.get_ident())
-            return fn(*args, **kwargs)
-
-        return wrapped
-
-    filled = []  # (matrix, first row, rows) of every row block filled
-    fill = opmatrix._fill
-
-    def record(out, *args):
-        first = (out.ctypes.data - out.base.ctypes.data) // out.strides[0]
-        filled.append((out.base, first, out.shape[0]))
-        return fill(out, *args)
-
-    def make(order):
-        kern = rl_kernel(order)
-        return dataclasses.replace(kern, evaluate=on_thread("evaluate", kern.evaluate))
-
-    nodes = on_thread("singular_nodes", quadrature.singular_nodes)
-    monkeypatch.setattr(quadrature, "singular_nodes", nodes)
-    monkeypatch.setattr(opmatrix, "_fill", on_thread("_fill", record))
-    P = ParameterSet(0.0, 1.0, 0.3, 0.7)
-    specs = [e2(s) for s in QUAD[:3]]
-    clear_matrix_cache()
-    verify_green(*specs, 0.4, P, P, KernelFamily("rl", make), RECT, QuadratureRule(panels=32))
-    clear_matrix_cache()
-    here = threading.get_ident()
-    assert calls["singular_nodes"] and set(calls["singular_nodes"]) == {here}
-    assert calls["evaluate"] and set(calls["evaluate"]) == {here}
-    # each half's rows are tiled by its blocks, each filled exactly once
-    assert calls["_fill"]
-    builds = {id(out): out for out, _, _ in filled}
-    assert len(builds) == 2
-    for key, out in builds.items():
-        spans = sorted((first, rows) for o, first, rows in filled if id(o) == key)
-        ends = [first + rows for first, rows in spans]
-        assert [first for first, _ in spans] == [0] + ends[:-1]
-        assert ends[-1] == out.shape[0]
 
 
 def test_a_cold_green_report_equals_a_warm_one():

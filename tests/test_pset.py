@@ -52,6 +52,14 @@ def test_invalid_interval_rejected():
         ParameterSet(0.0, 1.0, float("nan"), 0.0)
 
 
+@pytest.mark.parametrize("b", [1e-320, 5e-324, 2.2e-308])
+def test_subnormal_width_rejected(b):
+    # at such widths K drifts, then turns into nan, without a warning
+    with pytest.raises(ValueError, match=f"too small: its width {b!r}"):
+        ParameterSet(0.0, b, 1.0, 0.0)
+    assert ParameterSet(0.0, 2.3e-308, 1.0, 0.0).b == 2.3e-308
+
+
 @pytest.mark.parametrize(
     "fields", [(0.0, 1.0, True, False), (False, True, 1.0, 0.0), (0.0, 1.0, 1.0, False)]
 )

@@ -12,7 +12,6 @@ from genfrac.quadrature import (
     QuadratureRule,
     Rectangle,
     _jacobi_left,
-    _singular_unit,
     composite_nodes,
     contour_integral,
     integrate_2d,
@@ -38,6 +37,12 @@ def test_singular_zero_integrand():
 def test_singular_unit_kernel_reduces_to_plain_integral():
     v = integrate_singular(lambda u: u, rl_kernel(1.0), 0.0, 1.0, "hi")
     assert v == pytest.approx(0.5, rel=1e-13)
+
+
+def test_singular_rejects_a_subnormal_interval():
+    # at the parent this returned nan
+    with pytest.raises(ValueError, match="too small"):
+        integrate_singular(lambda u: u, rl_kernel(0.5), 0.0, 1e-320, "lo")
 
 
 def test_singular_empty_interval_is_exact_zero():
@@ -124,10 +129,9 @@ def test_sigma_keyed_rule_caches_are_bounded():
     for i in range(count):
         alpha = 0.1 + 0.8 * i / count
         integrate_singular(np.cos, rl_kernel(alpha), 0.0, 1.0, "hi", QuadratureRule(panels=2))
-    for cache in (_jacobi_left, _singular_unit):
-        info = cache.cache_info()
-        assert info.maxsize == _SIGMA_CACHE_SIZE
-        assert info.currsize <= _SIGMA_CACHE_SIZE
+    info = _jacobi_left.cache_info()
+    assert info.maxsize == _SIGMA_CACHE_SIZE
+    assert info.currsize <= _SIGMA_CACHE_SIZE
 
 
 def test_integrate_2d_area():
