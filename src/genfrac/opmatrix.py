@@ -31,17 +31,18 @@ panel edges.  A far panel's points are the same for every target, so
 they go through one fixed interpolation matrix per panel, and the far
 field of all the targets in one panel is one matrix product.  The points
 near a target (its Gauss-Jacobi piece and the geometric pieces of the
-panels next to it) go through the second form in a few whole-array
-passes: the terms b_j / (t - x_j), their sum, and one multiply by
-w / sum, which folds the quadrature weight w into the normaliser.  Each
-t - x_j is taken as (end - x_j) + offset from the rule's local offsets,
-so its rounding is that of a panel, not of |a|.  A point exactly on a
-node, whose sum is infinite, is set to w at that node afterwards; a row
-that is non-finite for any other reason stays so.  The pieces of one
-(row, panel) pair are adjacent, so one reduction sums them and one
-scatter adds them into the matrix.  The barycentric weights b_j come
-from node differences scaled by a power of two near the panel's span, so
-they stay finite on intervals of any width.
+panels next to it and of the end panel) go through the second form in a
+few whole-array passes: the terms b_j / (t - x_j), their sum, and one
+multiply by w / sum, which folds the quadrature weight w into the
+normaliser.  Each t - x_j is taken as (end - x_j) + offset from the
+rule's local offsets, so its rounding is that of a panel, not of |a|.
+A point exactly on a node, whose sum is infinite, is set to w at that
+node afterwards; a row that is non-finite for any other reason stays
+so.  One unbuffered add (``np.add.at``) puts each piece into its (row,
+panel) slot of the matrix, since a slot can have several pieces.  The
+barycentric weights b_j come from node differences scaled by a power of
+two near the panel's span, so they stay finite on intervals of any
+width.
 
 For polynomial operands of degree below the panel order the interpolation
 is exact; for the smooth test corpus its error is far below quadrature
@@ -154,16 +155,14 @@ def _assemble(pset: ParameterSet, kernel: Kernel, rule: QuadratureRule):
         far[side] = _interpolate(diffs, 1.0, bws)
     # the far points of a panel are the same for every target: one
     # product per block of targets that share their far panels
-    for side, rows, pans, w, _ in K.far:
+    for side, rows, pans, w in K.far:
         block = np.matmul(w.transpose(1, 0, 2), far[side][pans])
-        out[np.ix_(rows, pans)] += block.transpose(1, 0, 2)
-    # the near points in one pass, then one sum per (row, panel) pair
-    rows, pans = K.rows, K.pans
-    diffs = (K.ends[:, None] - panels[pans])[:, None, :] + K.offsets[:, :, None]
-    sums = _interpolate(diffs, K.w, bws[pans]).sum(axis=1)
-    new_pair = (rows[1:] != rows[:-1]) | (pans[1:] != pans[:-1])
-    first = np.flatnonzero(np.concatenate(([True], new_pair)))
-    out[rows[first], pans[first]] += np.add.reduceat(sums, first)
+        out[rows, pans] += block.transpose(1, 0, 2)
+    # the near points in one pass, then one sum per piece; a (row, panel)
+    # pair can have several pieces
+    diffs = (K.ends[:, None] - panels[K.pans])[:, None, :] + K.offsets[:, :, None]
+    sums = _interpolate(diffs, K.w, bws[K.pans]).sum(axis=1)
+    np.add.at(out, (K.rows, K.pans), sums)
     M = out.reshape(targets.size, -1)
     return M[: nodes.size], M[nodes.size :]
 

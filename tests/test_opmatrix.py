@@ -26,7 +26,10 @@ RULE = QuadratureRule()
 
 
 @pytest.mark.parametrize("kernel", [rl_family(), tempered_family(1.0)], ids=["rl", "tempered"])
-@pytest.mark.parametrize("interval", [(0.0, 1.0), (-2.0, 3.0), (5.0, 5.01)])
+# on the last interval a + (b - a) rounds below b
+@pytest.mark.parametrize(
+    "interval", [(0.0, 1.0), (-2.0, 3.0), (5.0, 5.01), (-0.7500000000000003, 1.0000000000000002)]
+)
 @pytest.mark.parametrize(
     "weights", [(1.0, 0.0), (0.0, 1.0), (0.3, 0.7)], ids=["left", "right", "mixed"]
 )

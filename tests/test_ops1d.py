@@ -1,5 +1,7 @@
 """One-dimensional operators against the closed-form power oracle."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 from genfrac.funcspec import FuncSpec, parse_expression
 from genfrac.ops1d import OperatorRequest, aop, bop, kop, leibniz_boundary_terms
 from genfrac.pset import ParameterSet, standard_left, standard_right
-from genfrac.quadrature import NonFiniteSampleError, QuadratureRule
+from genfrac.quadrature import NonFiniteSampleError, QuadratureRule, composite_nodes
 from genfrac.specfun import euler_oracle, rl_family, tempered_family
 
 TWO_INV_GAMMA_HALF = 1.1283791670955125739
@@ -239,6 +241,49 @@ def test_bop_right_sign_convention():
     assert val == pytest.approx(TWO_INV_GAMMA_HALF, rel=1e-10)
     right_caputo = -euler_oracle("right", "caputo_derivative", 0.5, 1.0, 0.0, 1.0, 0.0)
     assert val == pytest.approx(-right_caputo, rel=1e-10)
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize(
+    ("beta", "d", "bound"),
+    [(0.25, 1e-6, 7.1e-2), (0.5, 1e-6, 4.4e-3), (0.75, 1e-6, 1.9e-4), (2.5, 1e-3, 2.5e-11)],
+)
+def test_bop_resolves_an_operand_rough_at_the_weighted_end(side, beta, d, bound):
+    # B differentiates (t-a)**beta, so its integrand is singular at a for
+    # beta < 1 and rough there for beta = 2.5.  d = 1e-6 lies in the first
+    # panel of [0, 1], d = 1e-3 in the second, with the first one near.
+    # The bounds are the errors of the graded singular rule that preceded
+    # the mesh-aligned one.
+    pset, t, base = (LEFT, d, "t") if side == "left" else (RIGHT, 1.0 - d, "(1-t)")
+    sign = 1.0 if side == "left" else -1.0
+    want = sign * euler_oracle(side, "caputo_derivative", 0.1, beta, 0.0, 1.0, t)
+    got = bop(B(0.1, pset), parse_expression(f"{base}^{beta}", arity=1), t)
+    assert abs(got - want) <= bound * abs(want)
+
+
+def test_kop_and_bop_are_zero_where_the_half_is_empty_on_a_rounded_mesh():
+    # -0.1 + (0.2 - -0.1) rounds above 0.2; the mesh still ends at 0.2, so
+    # the rightward half there integrates over nothing
+    a, b = -0.1, 0.2
+    assert a + (b - a) > b
+    f = parse_expression("1+t^2", arity=1)
+    assert kop(K(0.1, standard_right(a, b)), f, b) == 0.0
+    assert bop(B(0.1, standard_right(a, b)), f, b) == 0.0
+    assert kop(K(0.1, standard_left(a, b)), f, a) == 0.0
+
+
+def test_kop_skips_a_panel_that_rounding_collapses():
+    # at 256 panels the end panels of [1e4, 1e4 + 1] are narrower than the
+    # float spacing at 1e4 and round to width 0; a target in the second
+    # panel has the first one near
+    a, b = 1e4, 1e4 + 1.0
+    rule = QuadratureRule(panels=256)
+    _, _, edges = composite_nodes(a, b, rule)
+    assert edges[1] == a and edges[-2] == b
+    d = 0.5 * (edges[2] - edges[1])
+    want = d**0.3 / math.gamma(1.3)
+    assert kop(K(0.3, standard_left(a, b), rule=rule), ONE, a + d) == pytest.approx(want, rel=1e-12)
+    assert kop(K(0.3, standard_right(a, b), rule=rule), ONE, b - d) == pytest.approx(want, rel=1e-12)
 
 
 def test_bop_requires_derivative():

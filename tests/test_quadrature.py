@@ -14,9 +14,11 @@ from genfrac.quadrature import (
     _jacobi_left,
     composite_nodes,
     contour_integral,
+    convolution_rows,
     integrate_2d,
     integrate_singular,
 )
+from genfrac.pset import standard_left
 from genfrac.specfun import gamma, rl_kernel
 
 TWO_INV_GAMMA_HALF = 1.1283791670955125739
@@ -256,3 +258,10 @@ def test_composite_nodes_structure():
     assert np.all(x > edges[idx])
     assert np.all(x < edges[idx + 1])
     assert math.fsum(w) == pytest.approx(1.0, rel=1e-14)
+
+
+def test_convolution_rows_refuse_the_edges_of_another_rule():
+    _, _, edges = composite_nodes(0.0, 1.0, QuadratureRule(panels=16))
+    targets = np.array([0.5])
+    with pytest.raises(ValueError, match="17 edges for a rule of 8 panels"):
+        convolution_rows(standard_left(0.0, 1.0), rl_kernel(0.5), targets, edges, DEFAULT_RULE)
