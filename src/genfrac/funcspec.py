@@ -4,7 +4,9 @@ A FuncSpec wraps a one- or two-variable real function, either as an
 expression tree (with exact analytic derivatives) or as an opaque
 callable (with optionally supplied derivative callables).  Expression
 grammar: numeric literals, identifiers ``t``/``t1``/``t2``, operators
-``+ - * / ^``, parentheses, and the functions sin, cos, exp, log.
+``+ - * / ^``, parentheses, and the functions sin, cos, exp, log.  The
+parser records the variables it reads, and ``parse_expression`` infers
+the arity from them unless the caller gives it.
 """
 
 from __future__ import annotations
@@ -46,9 +48,6 @@ class Expr:
     def text(self) -> str:
         raise NotImplementedError
 
-    def variables(self) -> frozenset:
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class Num(Expr):
@@ -62,9 +61,6 @@ class Num(Expr):
 
     def text(self):
         return repr(self.value)
-
-    def variables(self):
-        return frozenset()
 
 
 @dataclass(frozen=True)
@@ -80,9 +76,6 @@ class Var(Expr):
     def text(self):
         return self.name
 
-    def variables(self):
-        return frozenset({self.name})
-
 
 @dataclass(frozen=True)
 class Neg(Expr):
@@ -96,9 +89,6 @@ class Neg(Expr):
 
     def text(self):
         return f"(-{self.arg.text()})"
-
-    def variables(self):
-        return self.arg.variables()
 
 
 @dataclass(frozen=True)
@@ -143,9 +133,6 @@ class Bin(Expr):
     def text(self):
         return f"({self.left.text()}{self.op}{self.right.text()})"
 
-    def variables(self):
-        return self.left.variables() | self.right.variables()
-
 
 @dataclass(frozen=True)
 class Call(Expr):
@@ -169,9 +156,6 @@ class Call(Expr):
 
     def text(self):
         return f"{self.fn}({self.arg.text()})"
-
-    def variables(self):
-        return self.arg.variables()
 
 
 def _is_num(e, v) -> bool:
@@ -240,40 +224,30 @@ def _pow(a, b):
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
     r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[-+*/^()]))"
+    r"|(?P<op>[-+*/^()])|(?P<bad>\S))"
 )
 
 
 def _tokenize(src: str):
     tokens = []
-    pos = 0
-    while pos < len(src):
-        m = _TOKEN_RE.match(src, pos)
-        if m is None:
-            stripped = src[pos:].lstrip()
-            if not stripped:
-                break
-            bad_at = len(src) - len(stripped)
-            raise ParseError(f"unexpected character {src[bad_at]!r}", bad_at)
-        off = m.start("num") if m.group("num") else (
-            m.start("ident") if m.group("ident") else m.start("op")
-        )
-        if m.group("num"):
-            tokens.append(("num", m.group("num"), off))
-        elif m.group("ident"):
-            tokens.append(("ident", m.group("ident"), off))
-        else:
-            tokens.append(("op", m.group("op"), off))
-        pos = m.end()
+    for m in _TOKEN_RE.finditer(src):
+        kind = m.lastgroup
+        if kind == "bad":
+            raise ParseError(f"unexpected character {m.group(kind)!r}", m.start(kind))
+        tokens.append((kind, m.group(kind), m.start(kind)))
     tokens.append(("end", "", len(src)))
     return tokens
 
 
+# Binary operators by precedence, loosest first; each level is left associative.
+_LEVELS = ("+-", "*/")
+
+
 class _Parser:
     def __init__(self, src: str):
-        self.src = src
         self.tokens = _tokenize(src)
         self.i = 0
+        self.names = set()
 
     def peek(self):
         return self.tokens[self.i]
@@ -289,34 +263,23 @@ class _Parser:
             raise ParseError(f"expected {op!r}", off)
         return self.advance()
 
-    def parse(self) -> Expr:
+    def parse(self) -> tuple:
         e = self.expr()
         kind, val, off = self.peek()
         if kind != "end":
             raise ParseError(f"unexpected token {val!r}", off)
-        return e
+        return e, self.names
 
-    def expr(self) -> Expr:
-        e = self.term()
+    def expr(self, level: int = 0) -> Expr:
+        if level == len(_LEVELS):
+            return self.unary()
+        e = self.expr(level + 1)
         while True:
             kind, val, _ = self.peek()
-            if kind == "op" and val in "+-":
-                self.advance()
-                rhs = self.term()
-                e = Bin(val, e, rhs)
-            else:
+            if kind != "op" or val not in _LEVELS[level]:
                 return e
-
-    def term(self) -> Expr:
-        e = self.unary()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "*/":
-                self.advance()
-                rhs = self.unary()
-                e = Bin(val, e, rhs)
-            else:
-                return e
+            self.advance()
+            e = Bin(val, e, self.expr(level + 1))
 
     def unary(self) -> Expr:
         kind, val, _ = self.peek()
@@ -352,6 +315,7 @@ class _Parser:
                 return Call(val, arg)
             if val not in ("t", "t1", "t2"):
                 raise ParseError(f"unknown identifier {val!r}", off)
+            self.names.add(val)
             return Var(val)
         if kind == "op" and val == "(":
             e = self.expr()
@@ -437,33 +401,31 @@ class FuncSpec:
         if axis not in (1, 2):
             raise ValueError(f"axis must be 1 or 2, got {axis!r}")
         fixed = float(fixed)
-        if axis == 1:
-            fn = lambda x, _f=self.fn, _c=fixed: _f(x, np.full_like(np.asarray(x, float), _c))
-        else:
-            fn = lambda x, _f=self.fn, _c=fixed: _f(np.full_like(np.asarray(x, float), _c), x)
-        parts = None
-        if self.partials is not None:
-            dfn = self.partials[axis - 1]
-            if axis == 1:
-                parts = (
-                    lambda x, _d=dfn, _c=fixed: _d(x, np.full_like(np.asarray(x, float), _c)),
-                )
-            else:
-                parts = (
-                    lambda x, _d=dfn, _c=fixed: _d(np.full_like(np.asarray(x, float), _c), x),
-                )
+        dfn = None if self.partials is None else self.partials[axis - 1]
+        parts = None if dfn is None else (_frozen(dfn, axis, fixed),)
         other = 2 if axis == 1 else 1
         return FuncSpec(
             arity=1,
-            fn=fn,
+            fn=_frozen(self.fn, axis, fixed),
             label=f"{self.label}|t{other}={fixed:g}",
             partials=parts,
             expr=None,
         )
 
 
-def _env_names(arity: int) -> tuple:
-    return ("t",) if arity == 1 else ("t1", "t2")
+def _frozen(fn: Callable, axis: int, fixed: float) -> Callable:
+    """``fn(t1, t2)`` as a function of coordinate ``axis``, the other held at ``fixed``."""
+
+    def sliced(x):
+        held = np.full_like(np.asarray(x, float), fixed)
+        return fn(x, held) if axis == 1 else fn(held, x)
+
+    return sliced
+
+
+def _evaluator(tree: Expr, names: tuple) -> Callable:
+    """``tree`` as a callable taking one coordinate per name, in order."""
+    return lambda *coords: tree.evaluate(dict(zip(names, coords, strict=True)))
 
 
 def parse_expression(src: str, arity: Optional[int] = None) -> FuncSpec:
@@ -473,31 +435,21 @@ def parse_expression(src: str, arity: Optional[int] = None) -> FuncSpec:
     ``t1``/``t2`` mean two) unless given explicitly, in which case the
     variables must be compatible; a pure constant fits either arity.
     """
-    tree = _Parser(src).parse()
-    used = tree.variables()
+    tree, used = _Parser(src).parse()
     if "t" in used and used & {"t1", "t2"}:
         raise ParseError("cannot mix 't' with 't1'/'t2' in one expression", 0)
     if arity is None:
         arity = 2 if used & {"t1", "t2"} else 1
-    allowed = set(_env_names(arity))
-    if not used <= allowed:
-        extra = ", ".join(sorted(used - allowed))
+    names = ("t",) if arity == 1 else ("t1", "t2")
+    extra = ", ".join(sorted(used.difference(names)))
+    if extra:
         raise ParseError(
             f"arity mismatch: expression uses {extra} but {arity} variable(s) expected", 0
         )
-    if arity == 1:
-        fn = lambda x, _e=tree: _e.evaluate({"t": x})
-        parts = (lambda x, _d=tree.diff("t"): _d.evaluate({"t": x}),)
-    else:
-        fn = lambda x, y, _e=tree: _e.evaluate({"t1": x, "t2": y})
-        parts = (
-            lambda x, y, _d=tree.diff("t1"): _d.evaluate({"t1": x, "t2": y}),
-            lambda x, y, _d=tree.diff("t2"): _d.evaluate({"t1": x, "t2": y}),
-        )
     return FuncSpec(
         arity=arity,
-        fn=fn,
+        fn=_evaluator(tree, names),
         label=src.strip(),
-        partials=parts,
+        partials=tuple(_evaluator(tree.diff(name), names) for name in names),
         expr=tree,
     )

@@ -473,10 +473,13 @@ def integrate_singular(
     ``orientation`` is ``"lo"`` (kernel argument tau - lo) or ``"hi"``
     (kernel argument hi - tau).  An empty interval (lo >= hi) integrates
     to exactly 0, which is what the convolution operators need when the
-    evaluation point sits on an interval endpoint.
+    evaluation point sits on an interval endpoint.  Non-finite bounds are
+    refused.
     """
     if orientation not in ("lo", "hi"):
         raise ValueError(f"orientation must be 'lo' or 'hi', got {orientation!r}")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"integration bounds must be finite, got [{lo!r}, {hi!r}]")
     if not hi > lo:
         return 0.0
     # The rightward half of K at lo, or the leftward half at hi.

@@ -1,3 +1,6 @@
+from fractions import Fraction
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -61,11 +64,25 @@ def test_subnormal_width_rejected(b):
 
 
 @pytest.mark.parametrize(
-    "fields", [(0.0, 1.0, True, False), (False, True, 1.0, 0.0), (0.0, 1.0, 1.0, False)]
+    "fields",
+    [
+        (0.0, 1.0, True, False),
+        (False, True, 1.0, 0.0),
+        (0.0, 1.0, 1.0, False),
+        (0.0, 1.0, np.True_, 0.0),
+    ],
 )
 def test_bool_fields_rejected(fields):
     with pytest.raises(ValueError, match="finite real"):
         ParameterSet(*fields)
+
+
+@pytest.mark.parametrize("real", [np.int64, np.float32, np.float64, np.int8, Fraction])
+def test_numpy_and_other_reals_are_stored_as_floats(real):
+    P = ParameterSet(real(-1), real(2), real(1) / real(2), real(0))
+    assert [type(v) for v in P.as_tuple()] == [float] * 4
+    assert P.as_tuple() == (-1.0, 2.0, 0.5, 0.0)
+    assert P.to_text() == "-1,2,0.5,0"
 
 
 def test_text_round_trip():

@@ -45,6 +45,10 @@ def test_singular_rejects_a_subnormal_interval():
     # at the parent this returned nan
     with pytest.raises(ValueError, match="too small"):
         integrate_singular(lambda u: u, rl_kernel(0.5), 0.0, 1e-320, "lo")
+    # a nan bound, or an infinite lo above hi, returned 0.0 as an empty interval
+    for lo, hi in [(math.nan, 1.0), (0.0, math.nan), (math.inf, 1.0), (0.0, math.inf)]:
+        with pytest.raises(ValueError, match="must be finite"):
+            integrate_singular(lambda u: u, rl_kernel(0.5), lo, hi, "lo")
 
 
 def test_singular_empty_interval_is_exact_zero():
