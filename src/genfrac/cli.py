@@ -28,7 +28,7 @@ from .identities import (
 from .ops1d import OperatorRequest, aop, bop, kop
 from .ops2d import PartialRequest, partial_aop, partial_bop, partial_kop
 from .pset import parse_psets, standard_left
-from .quadrature import NonFiniteSampleError, QuadratureRule, Rectangle
+from .quadrature import DEFAULT_RULE, NonFiniteSampleError, QuadratureRule, Rectangle
 from .specfun import kernel_family_from_label
 
 __all__ = ["main", "run"]
@@ -90,8 +90,8 @@ def build_parser() -> _ArgumentParser:
     pe.add_argument("--f", required=True, dest="f_expr")
     pe.add_argument("--t", type=float, required=True)
     pe.add_argument("--t2", type=float)
-    pe.add_argument("--order", type=int, default=16)
-    pe.add_argument("--panels", type=int, default=8)
+    pe.add_argument("--order", type=int, default=DEFAULT_RULE.order_per_panel)
+    pe.add_argument("--panels", type=int, default=DEFAULT_RULE.panels)
 
     for name in ("verify", "converge"):
         pv = sub.add_parser(
@@ -110,9 +110,9 @@ def build_parser() -> _ArgumentParser:
         pv.add_argument("--eta", dest="eta_expr")
         pv.add_argument("--eta1", dest="eta1_expr")
         pv.add_argument("--eta2", dest="eta2_expr")
-        pv.add_argument("--order", type=int, default=16)
+        pv.add_argument("--order", type=int, default=DEFAULT_RULE.order_per_panel)
         if name == "verify":
-            pv.add_argument("--panels", type=int, default=8)
+            pv.add_argument("--panels", type=int, default=DEFAULT_RULE.panels)
             pv.add_argument("--tol", type=_tolerance)
             pv.add_argument("--json", dest="json_path")
         else:
@@ -121,8 +121,8 @@ def build_parser() -> _ArgumentParser:
 
     pc = sub.add_parser("corpus", help="run the versioned acceptance corpus")
     pc.add_argument("--json", dest="json_path")
-    pc.add_argument("--order", type=int, default=16)
-    pc.add_argument("--panels", type=int, default=8)
+    pc.add_argument("--order", type=int, default=DEFAULT_RULE.order_per_panel)
+    pc.add_argument("--panels", type=int, default=DEFAULT_RULE.panels)
 
     return parser
 

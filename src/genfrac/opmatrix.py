@@ -41,8 +41,9 @@ node afterwards; a row that is non-finite for any other reason stays
 so.  One unbuffered add (``np.add.at``) puts each piece into its (row,
 panel) slot of the matrix, since a slot can have several pieces.  The
 barycentric weights b_j come from node differences scaled by a power of
-two near the panel's span, so they stay finite on intervals of any
-width.
+two near the panel's span, and the differences t - x_j are scaled by the
+same power, so the weights, the terms and their sum stay finite on
+intervals of any width.
 
 For polynomial operands of degree below the panel order the interpolation
 is exact; for the smooth test corpus its error is far below quadrature
@@ -141,6 +142,15 @@ def _interpolate(diffs, w, bws) -> np.ndarray:
     return terms
 
 
+def _differences(ends, offsets, nodes, exp) -> np.ndarray:
+    """``((ends - nodes) + offsets) * 2**exp``, (points, offsets, nodes).
+
+    Both terms are scaled before the sum: that pass is over the smaller
+    arrays, and a power of two gives the same bits either way.
+    """
+    return np.ldexp(ends[:, None] - nodes, exp)[:, None, :] + np.ldexp(offsets, exp)[:, :, None]
+
+
 def _assemble(pset: ParameterSet, kernel: Kernel, rule: QuadratureRule):
     """(mesh rows, end rows) of K_P on its composite mesh."""
     nodes, _, edges = composite_nodes(pset.a, pset.b, rule)
@@ -148,10 +158,12 @@ def _assemble(pset: ParameterSet, kernel: Kernel, rule: QuadratureRule):
     panels = nodes.reshape(edges.size - 1, rule.order_per_panel)
     bws = _bary_weights(panels)[:, None, :]
     out = np.zeros((targets.size, *panels.shape))
+    # the node differences in the units that _bary_weights scales by
+    _, span_exp = np.frexp(panels[:, -1] - panels[:, 0])
     K = convolution_rows(pset, kernel, targets, edges, rule)
     far = {}
     for side, (ends, offsets) in K.far_points.items():
-        diffs = (ends[:, None] - panels)[:, None, :] + offsets[:, :, None]
+        diffs = _differences(ends, offsets, panels, -span_exp[:, None])
         far[side] = _interpolate(diffs, 1.0, bws)
     # the far points of a panel are the same for every target: one
     # product per block of targets that share their far panels
@@ -160,7 +172,7 @@ def _assemble(pset: ParameterSet, kernel: Kernel, rule: QuadratureRule):
         out[rows, pans] += block.transpose(1, 0, 2)
     # the near points in one pass, then one sum per piece; a (row, panel)
     # pair can have several pieces
-    diffs = (K.ends[:, None] - panels[K.pans])[:, None, :] + K.offsets[:, :, None]
+    diffs = _differences(K.ends, K.offsets, panels[K.pans], -span_exp[K.pans, None])
     sums = _interpolate(diffs, K.w, bws[K.pans]).sum(axis=1)
     np.add.at(out, (K.rows, K.pans), sums)
     M = out.reshape(targets.size, -1)

@@ -31,6 +31,14 @@ __all__ = [
 ]
 
 
+def finite(v) -> bool:
+    """``math.isfinite(v)``, but False, not OverflowError, past the float range."""
+    try:
+        return math.isfinite(v)
+    except OverflowError:  # an int or Fraction too large for a float
+        return False
+
+
 @dataclass(frozen=True)
 class ParameterSet:
     """Immutable p-set <a, b, p, q> with a < b and finite weights.
@@ -49,7 +57,7 @@ class ParameterSet:
             v = getattr(self, name)
             # float first: it answers at once, and the ABC check is several times slower
             real = isinstance(v, (float, numbers.Real)) and not isinstance(v, bool)
-            if not real or not math.isfinite(v):
+            if not real or not finite(v):
                 raise ValueError(f"p-set field {name} must be a finite real, got {v!r}")
             object.__setattr__(self, name, float(v))
         if not self.a < self.b:

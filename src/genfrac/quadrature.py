@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
@@ -31,7 +32,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .pset import ParameterSet
+from .pset import ParameterSet, finite
 from .specfun import Kernel
 
 __all__ = [
@@ -117,7 +118,7 @@ class QuadratureRule:
             raise ValueError("order_per_panel must be >= 1")
         if self.panels < 1:
             raise ValueError("panels must be >= 1")
-        if not (math.isfinite(self.grading_strength) and self.grading_strength >= 1.0):
+        if not (finite(self.grading_strength) and self.grading_strength >= 1.0):
             raise ValueError(
                 f"grading_strength must be finite and >= 1, got {self.grading_strength!r}"
             )
@@ -148,7 +149,7 @@ class Rectangle:
     b2: float
 
     def __post_init__(self) -> None:
-        if not all(math.isfinite(v) for v in (self.a1, self.b1, self.a2, self.b2)):
+        if not all(map(finite, (self.a1, self.b1, self.a2, self.b2))):
             raise ValueError(
                 f"rectangle endpoints must be finite, got "
                 f"[{self.a1}, {self.b1}] x [{self.a2}, {self.b2}]"
@@ -362,6 +363,10 @@ def convolution_rows(
     Gauss-Legendre pieces; in the first panel Gauss-Jacobi takes only
     [a + r (t - a), t] at that ratio r.  The rightward half is the
     leftward one of the mirrored targets and mesh.
+
+    A target less than the smallest normal double past an inner edge
+    goes to the panel below that edge, and one that close to a (but not
+    on it) raises ValueError: its Gauss-Jacobi piece would underflow.
     """
     if edges.size != rule.panels + 1:
         raise ValueError(f"{edges.size} edges for a rule of {rule.panels} panels")
@@ -381,8 +386,17 @@ def convolution_rows(
         groups = {}  # panel J -> the targets in (e_J, e_(J+1)]; none at a, whose integral is empty
         for r, x in enumerate(ts):
             J = min(bisect_left(es, x), last + 1) - 1
+            while J >= 0 and x - es[J] < sys.float_info.min:
+                if J == 0:
+                    raise ValueError(
+                        f"target {sign * x!r} is {x - es[0]!r} from the end {sign * es[0]!r}, "
+                        f"closer than the smallest normal double {sys.float_info.min!r}"
+                    )
+                J -= 1
             if J >= 0:
                 groups.setdefault(J, []).append(r)
+        # per target, its pieces at a go before the rest of its walk
+        at_a, walk = [], []
         for J, rs in groups.items():
             m = plan[side][J]
             if m:
@@ -392,16 +406,12 @@ def convolution_rows(
                 # the panels in the mesh's own order
                 pans, w = (slice(last + 1 - m, last + 1), w[:, ::-1]) if side else (slice(0, m), w)
                 far.append((side, rows, pans, w))
-            pan = last - J if side else J
+            pan, first = (last - J, last) if side else (J, 0)
             for r in rs:
                 x = ts[r]
                 d = x - es[J]
-                if J:
-                    jacobi.append((r, pan, sign * x, 0.0, 0.0, d, sign, weight))
-                else:  # Gauss-Jacobi next to t, the rest toward a
-                    jacobi.append((r, pan, sign * x, 0.0, 0.0, d - d * _NEAR_RATIO, sign, weight))
-                    for lo, hi in _toward_end(d * _NEAR_RATIO):
-                        near.append((r, pan, sign * es[0], d, lo, hi, sign, weight))
+                s = 0.0 if J else d * _NEAR_RATIO  # the width of the piece at a
+                jacobi.append((r, pan, sign * x, 0.0, 0.0, d - s, sign, weight))
                 # a near panel in geometric pieces toward its right end,
                 # down to one no wider than twice its gap
                 for j in range(m, J):
@@ -412,17 +422,17 @@ def convolution_rows(
                     # logs apart: top / gap can overflow
                     depth = math.ceil((math.log(top) - math.log(2.0 * gap)) / _LOG_RATIO)
                     p = last - j if side else j
-                    if j == 0:  # its piece at a toward a as well
-                        low = top * _NEAR_RATIO if depth > 0 else 0.0
-                        for lo, hi in _toward_end(top - low):
-                            near.append((r, p, sign * es[0], x - es[0], lo, hi, sign, weight))
-                        if depth <= 0:
-                            continue
-                        top, depth = low, depth - 1
-                    for _ in range(depth):
-                        near.append((r, p, sign * end, gap, top * _NEAR_RATIO, top, sign, weight))
-                        top *= _NEAR_RATIO
-                    near.append((r, p, sign * end, gap, 0.0, top, sign, weight))
+                    for k in range(max(depth, 0) + 1):
+                        lo = top * _NEAR_RATIO if k < depth else 0.0
+                        if j or k:
+                            walk.append((r, p, sign * end, gap, lo, top, sign, weight))
+                        else:  # panel 0's first level is the piece at a
+                            s = top - lo
+                        top = lo
+                if s:  # split toward a, where the operand may be rough
+                    for lo, hi in _toward_end(s):
+                        at_a.append((r, first, sign * es[0], x - es[0], lo, hi, sign, weight))
+        near += at_a + walk
     rows, pans, ends, gaps, lo, hi, sign, weight = np.array(jacobi + near).reshape(-1, 8).T
     o, w = singular_nodes(kernel, gaps, lo, hi, rule.order_per_panel, len(jacobi))
     return Rows(

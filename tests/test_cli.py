@@ -354,17 +354,33 @@ GREEN = ["--alpha", "0.5", "--rect", "0,1,0,1", "--f", "t1", "--g", "t2", "--eta
               "--t", "5e-321"], "too small")
             for op in ("K", "B")
         ),
+        # a point closer to a weighted end than the smallest normal double
+        *(
+            (["eval", "--op", op, "--alpha", "0.5", "--pset", "0,1,1,0", "--f", "1+t",
+              "--t", "5e-324"], "closer than the smallest normal double")
+            for op in ("K", "B")
+        ),
     ],
     ids=["eval-rect", "eval-t2", "verify-ibp-eta", "converge-ibp-eta", "green-eta1",
          "converge-green-eta2", "green-rl-eta2", "t2-off-axis-2", "t2-nan", "t-off-axis-1",
          "alpha-1e-310", "alpha-1e-320", "alpha-5e-324", "verify-ibp-alpha-1e-310",
-         "subnormal-width-K", "subnormal-width-B"],
+         "subnormal-width-K", "subnormal-width-B", "subnormal-distance-K",
+         "subnormal-distance-B"],
 )
 def test_rejected_arguments_are_usage_errors(capsys, argv, fragment):
     code, out, err = _run(capsys, argv)
     assert code == 1
     assert out == ""
     assert err.startswith("genfrac: error:") and fragment in err
+
+
+@pytest.mark.parametrize("op", ["K", "B"])
+def test_eval_a_subnormal_distance_past_an_inner_edge_prints_the_edge_value(capsys, op):
+    # 0 is an inner edge of the mesh of [-1, 1]
+    argv = ["eval", "--op", op, "--alpha", "0.5", "--pset=-1,1,1,0", "--f", "1+t", "--t"]
+    code, out, _ = _run(capsys, argv + ["5e-324"])
+    assert code == 0
+    assert out == _run(capsys, argv + ["0"])[1]
 
 
 def test_negative_rect_bounds_use_the_equals_form(capsys):

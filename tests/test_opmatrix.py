@@ -102,11 +102,12 @@ def test_halves_match_the_rl_closed_form(side, alpha, interval, panels):
         assert (abs(got - exact)[pos] / exact[pos]).max() <= 1e-3
 
 
-@pytest.mark.parametrize("width", [1e-9, 1e-11, 1e-13])
+@pytest.mark.parametrize("width", [1e-9, 1e-11, 1e-13, 1e-280, 1e-290])
 @pytest.mark.parametrize("side", ["left", "right"])
 def test_halves_stay_finite_and_exact_on_tiny_intervals(side, width):
     # end panels are ~3e-8 of the width here, so unscaled node differences
-    # multiply out past the range of a double
+    # multiply out past the range of a double; below a width of about
+    # 1e-279, b_j / (t - x_j) does too unless t - x_j is scaled as well
     for M, got, exact in _half_on_powers(side, 0.5, 0.0, width, 32):
         assert np.isfinite(M).all()
         assert abs(got - exact).max() <= 1e-13 * abs(exact).max()

@@ -286,6 +286,28 @@ def test_kop_skips_a_panel_that_rounding_collapses():
     assert kop(K(0.3, standard_right(a, b), rule=rule), ONE, b - d) == pytest.approx(want, rel=1e-12)
 
 
+@pytest.mark.parametrize(
+    "pset, t",
+    [(ParameterSet(-1.0, 1.0, p, q), t) for p, q in ((1.0, 0.0), (0.0, 1.0), (0.5, 0.5))
+     for t in (5e-324, -5e-324, 1e-310, -1e-310)] + [(RIGHT, 5e-324), (RIGHT, 1e-310)],
+)
+def test_a_target_a_subnormal_distance_past_an_edge_takes_the_edge_value(pset, t):
+    # 0 is an inner edge of the mesh of [-1, 1], and the unweighted end of
+    # RIGHT; a Gauss-Jacobi piece from it to t would underflow to width 0
+    assert 0.0 in composite_nodes(pset.a, pset.b, QuadratureRule())[2]
+    f = parse_expression("1+t", arity=1)
+    for req, op in ((K(0.5, pset), kop), (B(0.5, pset), bop)):
+        assert op(req, f, t) == pytest.approx(op(req, f, 0.0), rel=0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("pset, t", [(LEFT, 5e-324), (LEFT, 1e-310), (MIXED, 2e-308),
+                                     (standard_right(-1.0, 0.0), -5e-324)])
+def test_a_target_closer_to_a_weighted_end_than_the_smallest_normal_is_refused(pset, t):
+    for req, op in ((K(0.5, pset), kop), (B(0.5, pset), bop)):
+        with pytest.raises(ValueError, match=f"is {abs(t)!r} from the end .* smallest normal"):
+            op(req, IDENT, t)
+
+
 def test_bop_requires_derivative():
     f = FuncSpec.from_callable(lambda x: np.abs(x), arity=1, label="abs")
     with pytest.raises(ValueError, match="derivative"):

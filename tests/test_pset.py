@@ -53,6 +53,9 @@ def test_invalid_interval_rejected():
         ParameterSet(0.0, float("inf"), 1.0, 0.0)
     with pytest.raises(ValueError):
         ParameterSet(0.0, 1.0, float("nan"), 0.0)
+    # past the float range, where math.isfinite raises OverflowError
+    with pytest.raises(ValueError, match="finite real"):
+        ParameterSet(0, 10**400, 1, 0)
 
 
 @pytest.mark.parametrize("b", [1e-320, 5e-324, 2.2e-308])

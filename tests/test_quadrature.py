@@ -1,9 +1,13 @@
 """Quadrature engines: singular convolutions, 2D tensor product, contour."""
 
 import math
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from genfrac.quadrature import (
     _SIGMA_CACHE_SIZE,
@@ -15,10 +19,11 @@ from genfrac.quadrature import (
     composite_nodes,
     contour_integral,
     convolution_rows,
+    convolve,
     integrate_2d,
     integrate_singular,
 )
-from genfrac.pset import standard_left
+from genfrac.pset import ParameterSet, standard_left
 from genfrac.specfun import gamma, rl_kernel
 
 TWO_INV_GAMMA_HALF = 1.1283791670955125739
@@ -228,7 +233,7 @@ def test_rule_validation():
         QuadratureRule(order_per_panel=0)
     with pytest.raises(ValueError):
         QuadratureRule(panels=0)
-    for bad in (0.5, math.inf, math.nan):
+    for bad in (0.5, math.inf, math.nan, 10**400):
         with pytest.raises(ValueError):
             QuadratureRule(grading_strength=bad)
     assert type(QuadratureRule(panels=np.int64(8)).panels) is int
@@ -244,7 +249,9 @@ def test_rectangle_validation():
 
 
 @pytest.mark.parametrize(
-    "ends", [(0, math.inf, 0, 1), (-math.inf, 0, 0, 1), (0, 1, -math.inf, math.inf)]
+    "ends",
+    # an int past the float range too, on which math.isfinite overflows
+    [(0, math.inf, 0, 1), (-math.inf, 0, 0, 1), (0, 1, -math.inf, math.inf), (0, 10**400, 0, 1)],
 )
 def test_rectangle_rejects_infinite_endpoints(ends):
     with pytest.raises(ValueError, match="finite"):
@@ -269,3 +276,61 @@ def test_convolution_rows_refuse_the_edges_of_another_rule():
     targets = np.array([0.5])
     with pytest.raises(ValueError, match="17 edges for a rule of 8 panels"):
         convolution_rows(standard_left(0.0, 1.0), rl_kernel(0.5), targets, edges, DEFAULT_RULE)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    start=st.sampled_from(["zero", "centred"]) | st.floats(-1e3, 1e3),
+    width=st.floats(-3.0, 3.0).map(lambda e: 10.0**e),
+    panels=st.integers(1, 32),
+    order=st.sampled_from([4, 8, 16]),
+    p=st.sampled_from([0.0, 1.0]) | st.floats(-2.0, 2.0),
+    q=st.sampled_from([0.0, 1.0]) | st.floats(-2.0, 2.0),
+    coeffs=st.lists(st.floats(-1.0, 1.0), min_size=16, max_size=16),
+    spots=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5),
+)
+def test_convolution_pieces_tile_the_interval(start, width, panels, order, p, q, coeffs, spots):
+    # Under rl_kernel(1.0) the kernel is 1, so K_P f(t) = p int_a^t f + q int_t^b f,
+    # and every piece integrates f = sum c_k s**k, s = (tau - a) / L, of
+    # degree below the order exactly: a dropped, doubled or misplaced piece
+    # shows.  Tolerance, stated before the first run: the rounding of the
+    # sample points (eps |tau|) and of the weights and their sums (eps L),
+    # 5 eps (|p| + |q|) (|a| + |b| + L) sum |c_k|.  The smallest normal
+    # double was added for underflow, once a weight of 5e-324 gave 0
+    # against an exact 5e-324.
+    # "centred" puts an inner edge on 0, whose float neighbours are subnormal.
+    a = {"zero": 0.0, "centred": -0.5 * width}.get(start, start)
+    b = a + width
+    L = b - a
+    c = coeffs[:order]
+    rule = QuadratureRule(order, panels)
+    edges = composite_nodes(a, b, rule)[2]
+    ts = np.concatenate(
+        [edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf), a + L * np.array(spots)]
+    )
+    ts = np.unique(ts[(ts >= a) & (ts <= b)])
+    # closer to a weighted end than the smallest normal double, but not on it
+    refused = ((p != 0.0) & (ts - a > 0.0) & (ts - a < sys.float_info.min)) | (
+        (q != 0.0) & (b - ts > 0.0) & (b - ts < sys.float_info.min)
+    )
+    P, kern = ParameterSet(a, b, p, q), rl_kernel(1.0)
+
+    def f(tau):
+        return np.polynomial.polynomial.polyval((tau - a) / L, c)
+
+    for t in ts[refused]:
+        with pytest.raises(ValueError, match="closer than the smallest normal double"):
+            convolve(f, P, kern, [t], rule, message="")
+    got = convolve(f, P, kern, ts[~refused], rule, message="")
+
+    def antiderivative(s):
+        return sum(Fraction(ck) * s ** (k + 1) / (k + 1) for k, ck in enumerate(c))
+
+    fa, fb = Fraction(a), Fraction(b)
+    full = antiderivative((fb - fa) / Fraction(L))
+    tol = 5 * np.finfo(float).eps * (abs(p) + abs(q)) * (abs(a) + abs(b) + L) * sum(map(abs, c))
+    tol += sys.float_info.min
+    for t, value in zip(ts[~refused], got):
+        left = antiderivative((Fraction(t) - fa) / Fraction(L))
+        exact = Fraction(L) * (Fraction(p) * left + Fraction(q) * (full - left))
+        assert abs(value - float(exact)) <= tol, (t, value, float(exact))
