@@ -25,17 +25,31 @@ moment matrices of :mod:`genfrac.identities` and bounded by their total
 bytes (``_CACHE_BYTES``).  Cached arrays are read-only, so a caller
 cannot corrupt a later check by writing into one.
 
+What an assembly needs of its mesh whatever the kernel is kept apart,
+per (p-set, rule), in a small cache of its own (``_table``, at most
+``_TABLES`` entries), so that it never evicts a matrix or a moment: the
+nodes in panels, their barycentric weights and span exponents, the
+:func:`~genfrac.quadrature.convolution_walk` of the nodes and the two
+ends (the pieces as a (pieces, 8) table, and the far groups), and each
+side's far interpolation matrix.  A half holds about 70, 136 and 240 KB
+at 128, 256 and 512 nodes, of which the piece table is 43, 82 and
+132 KB; nothing in it grows with targets times far points.  A new
+kernel or order on a mesh then pays only for the kernel values, the
+near interpolation and the far products.  The table refuses a mesh
+whose nodes round to equal values, which have no barycentric weight.
+
 Assembly runs on the calling thread.  The convolution rule of
-:func:`genfrac.quadrature.convolution_rows` splits at the mesh's own
+:func:`genfrac.quadrature.convolution_walk` splits at the mesh's own
 panel edges.  A far panel's points are the same for every target, so
 they go through one fixed interpolation matrix per panel, and the far
 field of all the targets in one panel is one matrix product.  The points
 near a target (its Gauss-Jacobi piece and the geometric pieces of the
 panels next to it and of the end panel) go through the second form in a
-few whole-array passes: the terms b_j / (t - x_j), their sum, and one
-multiply by w / sum, which folds the quadrature weight w into the
-normaliser.  Each t - x_j is taken as (end - x_j) + offset from the
-rule's local offsets, so its rounding is that of a panel, not of |a|.
+few array passes per block of ``_BLOCK`` pieces: the terms
+b_j / (t - x_j), their sum, and one multiply by w / sum, which folds
+the quadrature weight w into the normaliser.  Each t - x_j is taken as
+(end - x_j) + offset from the rule's local offsets, so its rounding is
+that of a panel, not of |a|.
 A point exactly on a node, whose sum is infinite, is set to w at that
 node afterwards; a row that is non-finite for any other reason stays
 so.  One unbuffered add (``np.add.at``) puts each piece into its (row,
@@ -54,11 +68,12 @@ same accuracy, which the test suite checks explicitly.
 from __future__ import annotations
 
 from collections import OrderedDict
+from functools import lru_cache
 
 import numpy as np
 
 from .pset import ParameterSet
-from .quadrature import QuadratureRule, composite_nodes, convolution_rows
+from .quadrature import QuadratureRule, composite_nodes, convolution_rows, convolution_walk
 from .specfun import Kernel
 
 __all__ = ["kop_matrix", "kop_end_rows", "clear_matrix_cache"]
@@ -70,10 +85,22 @@ _CACHE_BYTES = 128 * 2**20
 _CACHE: OrderedDict = OrderedDict()  # key -> (value, nbytes), oldest first
 _cache_total = 0
 
+# Kernel-free mesh tables (_table) kept, one per (p-set, rule).  A
+# convergence study on one rectangle uses two halves per axis interval at
+# each of its levels: 12 at most for three levels.
+_TABLES = 16
+
+# Pieces interpolated at once in _assemble.  The near interpolation holds
+# two (pieces, order, order) arrays; a 512-node half has about 2,000
+# pieces, 4.2 MB each in one pass, which set the peak memory of a sweep.
+# Blocks of 256 keep them at 512 KiB at order 16, and run faster.
+_BLOCK = 256
+
 
 def clear_matrix_cache() -> None:
-    """Empty the shared cache (operator matrices and moments)."""
+    """Empty the shared cache (operator matrices and moments) and the mesh tables."""
     global _cache_total
+    _table.cache_clear()
     _CACHE.clear()
     _cache_total = 0
 
@@ -151,32 +178,55 @@ def _differences(ends, offsets, nodes, exp) -> np.ndarray:
     return np.ldexp(ends[:, None] - nodes, exp)[:, None, :] + np.ldexp(offsets, exp)[:, :, None]
 
 
-def _assemble(pset: ParameterSet, kernel: Kernel, rule: QuadratureRule):
-    """(mesh rows, end rows) of K_P on its composite mesh."""
+@lru_cache(maxsize=_TABLES)
+def _table(pset: ParameterSet, rule: QuadratureRule):
+    """What :func:`_assemble` needs of the p-set's mesh whatever the kernel.
+
+    The panels of nodes, their barycentric weights and span exponents,
+    the :func:`~genfrac.quadrature.convolution_walk` of the nodes and
+    the two ends, and each side's far interpolation matrix.  Refuses a
+    mesh whose nodes are not strictly increasing: equal nodes have no
+    barycentric weight.
+    """
     nodes, _, edges = composite_nodes(pset.a, pset.b, rule)
-    targets = np.concatenate([nodes, [pset.a, pset.b]])
+    if not (np.diff(nodes) > 0.0).all():
+        raise ValueError(
+            f"{rule} on [{pset.a!r}, {pset.b!r}] has nodes that round to equal "
+            f"values: its end panels are too narrow for the floats there"
+        )
     panels = nodes.reshape(edges.size - 1, rule.order_per_panel)
     bws = _bary_weights(panels)[:, None, :]
-    out = np.zeros((targets.size, *panels.shape))
     # the node differences in the units that _bary_weights scales by
-    _, span_exp = np.frexp(panels[:, -1] - panels[:, 0])
-    K = convolution_rows(pset, kernel, targets, edges, rule)
+    exp = -np.frexp(panels[:, -1] - panels[:, 0])[1]
+    walk = convolution_walk(pset, np.concatenate([nodes, [pset.a, pset.b]]), edges, rule)
     far = {}
-    for side, (ends, offsets) in K.far_points.items():
-        diffs = _differences(ends, offsets, panels, -span_exp[:, None])
-        far[side] = _interpolate(diffs, 1.0, bws)
+    for side, (ends, offsets) in walk.far_points.items():
+        far[side] = _interpolate(_differences(ends, offsets, panels, exp[:, None]), 1.0, bws)
+    for arr in (panels, bws, exp, walk.pieces, *far.values()):  # shared by every kernel
+        arr.flags.writeable = False
+    return panels, bws, exp, walk, far
+
+
+def _assemble(pset: ParameterSet, kernel: Kernel, rule: QuadratureRule):
+    """(mesh rows, end rows) of K_P on its composite mesh."""
+    panels, bws, exp, walk, far = _table(pset, rule)
+    K = convolution_rows(walk, kernel, rule)
+    out = np.zeros((panels.size + 2, *panels.shape))
     # the far points of a panel are the same for every target: one
     # product per block of targets that share their far panels
     for side, rows, pans, w in K.far:
         block = np.matmul(w.transpose(1, 0, 2), far[side][pans])
         out[rows, pans] += block.transpose(1, 0, 2)
-    # the near points in one pass, then one sum per piece; a (row, panel)
-    # pair can have several pieces
-    diffs = _differences(K.ends, K.offsets, panels[K.pans], -span_exp[K.pans, None])
-    sums = _interpolate(diffs, K.w, bws[K.pans]).sum(axis=1)
-    np.add.at(out, (K.rows, K.pans), sums)
-    M = out.reshape(targets.size, -1)
-    return M[: nodes.size], M[nodes.size :]
+    # the near points a block of pieces at a time, then one sum per piece;
+    # a (row, panel) pair can have several pieces
+    for start in range(0, K.pans.size, _BLOCK):
+        b = slice(start, start + _BLOCK)
+        pans = K.pans[b]
+        diffs = _differences(K.ends[b], K.offsets[b], panels[pans], exp[pans, None])
+        sums = _interpolate(diffs, K.w[b], bws[pans]).sum(axis=1)
+        np.add.at(out, (K.rows[b], pans), sums)
+    M = out.reshape(panels.size + 2, -1)
+    return M[: panels.size], M[panels.size :]
 
 
 def _matrices(pset: ParameterSet, kernel: Kernel, rule: QuadratureRule):

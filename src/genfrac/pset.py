@@ -70,6 +70,15 @@ class ParameterSet:
                 f"{self.b - self.a!r} is below the smallest normal double "
                 f"{sys.float_info.min!r}"
             )
+        # So does a nonzero weight that small: the terms it scales underflow,
+        # and a check of them reads as total failure.
+        for name in ("p", "q"):
+            v = getattr(self, name)
+            if 0.0 < abs(v) < sys.float_info.min:
+                raise ValueError(
+                    f"p-set weight {name}={v!r} is nonzero but below the smallest "
+                    f"normal double {sys.float_info.min!r}"
+                )
 
     def dual(self) -> "ParameterSet":
         """Swap the weights p and q; the interval is unchanged."""

@@ -11,7 +11,10 @@ The convolution rule splits at the edges of the operand's own mesh, so
 :mod:`genfrac.opmatrix` interpolates only the points near each target
 one by one; the far points of a panel are the same for every target and
 go through one fixed interpolation matrix (product integration with
-local corrections: Kolm & Rokhlin 2001, Helsing & Ojala 2008).
+local corrections: Kolm & Rokhlin 2001, Helsing & Ojala 2008).  The
+rule takes two steps: :func:`convolution_walk` lays out the pieces,
+which depend on the mesh and the targets alone, and
+:func:`convolution_rows` adds a kernel's nodes and weights to them.
 
 All rules use open (Gauss) nodes, so integrands are never sampled at
 panel edges, interval endpoints, or the rectangle boundary.  Every
@@ -41,6 +44,7 @@ __all__ = [
     "NonFiniteSampleError",
     "DEFAULT_RULE",
     "convolution_rows",
+    "convolution_walk",
     "convolve",
     "integrate_singular",
     "integrate_2d",
@@ -100,7 +104,7 @@ class QuadratureRule:
     ``grading_strength``; integrands there inherit endpoint roughness of
     type (t - a)**alpha from the convolution fields, which heavy grading
     resolves.  The convolutions split at the same panel edges
-    (:func:`convolution_rows`): ``far_order`` points on a far panel,
+    (:func:`convolution_walk`): ``far_order`` points on a far panel,
     ``order_per_panel`` on every piece near the target.
     """
 
@@ -346,10 +350,29 @@ def _toward_end(s: float):
     return list(zip(cuts, cuts[1:]))
 
 
-def convolution_rows(
-    pset: ParameterSet, kernel: Kernel, targets: np.ndarray, edges: np.ndarray, rule: QuadratureRule
-) -> Rows:
-    """K_P at ``targets`` in [a, b] as :class:`Rows`, on the mesh of ``edges``.
+class Walk(NamedTuple):
+    """The kernel-free part of :class:`Rows`, as :func:`convolution_walk` makes it.
+
+    ``pieces`` has one row (row, panel, end, gap, lo, hi, sign, weight) per
+    near piece, in the order of :class:`Rows`; the first ``jacobi`` take
+    Gauss-Jacobi.  A far group ``(side, rows, pans)`` is a far block of
+    :class:`Rows` without its weights.  Those come from ``sides[side] =
+    (t, rights, off, far_w)``: the side's targets and panel right ends
+    (both mirrored on side 1), the far points' offsets from those ends,
+    and the far weights without the kernel.
+    """
+
+    pieces: np.ndarray
+    jacobi: int
+    far: list
+    sides: dict
+    far_points: dict
+
+
+def convolution_walk(
+    pset: ParameterSet, targets: np.ndarray, edges: np.ndarray, rule: QuadratureRule
+) -> Walk:
+    """The pieces of K_P at ``targets`` in [a, b] on the mesh of ``edges``, before the kernel.
 
     ``edges`` are the panel edges of the mesh of [a, b] that
     :func:`composite_nodes` gives for ``rule``.  For a target t in panel
@@ -362,7 +385,8 @@ def convolution_rows(
     rough, is split geometrically toward a as well, into ``_END_DEPTH`` + 1
     Gauss-Legendre pieces; in the first panel Gauss-Jacobi takes only
     [a + r (t - a), t] at that ratio r.  The rightward half is the
-    leftward one of the mirrored targets and mesh.
+    leftward one of the mirrored targets and mesh.  None of it depends on
+    the kernel, so a walk serves every kernel on its mesh.
 
     A target less than the smallest normal double past an inner edge
     goes to the panel below that edge, and one that close to a (but not
@@ -372,7 +396,7 @@ def convolution_rows(
         raise ValueError(f"{edges.size} edges for a rule of {rule.panels} panels")
     last = rule.panels - 1
     plan, point_unit, weight_unit = _plan(rule)
-    jacobi, near, far, far_points = [], [], [], {}
+    jacobi, near, far, sides, far_points = [], [], [], {}, {}
     for side, weight in enumerate((pset.p, pset.q)):
         if weight == 0.0:
             continue
@@ -380,7 +404,7 @@ def convolution_rows(
         rights = e[1:]
         h = (rights - e[:-1])[:, None]
         off = h * point_unit  # the far points from their panel's right end
-        far_w = h * (weight * weight_unit)
+        sides[side] = (t, rights, off, h * (weight * weight_unit))
         far_points[side] = (edges[:-1], off[::-1]) if side else (rights, -off)
         es, ts = e.tolist(), t.tolist()
         groups = {}  # panel J -> the targets in (e_J, e_(J+1)]; none at a, whose integral is empty
@@ -399,13 +423,9 @@ def convolution_rows(
         at_a, walk = [], []
         for J, rs in groups.items():
             m = plan[side][J]
-            if m:
-                rows = np.array(rs)
-                u = (t[rows, None] - rights[:m])[:, :, None] + off[:m]
-                w = far_w[:m] * kernel.evaluate(u)
-                # the panels in the mesh's own order
-                pans, w = (slice(last + 1 - m, last + 1), w[:, ::-1]) if side else (slice(0, m), w)
-                far.append((side, rows, pans, w))
+            if m:  # the far panels in the mesh's own order
+                pans = slice(last + 1 - m, last + 1) if side else slice(0, m)
+                far.append((side, np.array(rs), pans))
             pan, first = (last - J, last) if side else (J, 0)
             for r in rs:
                 x = ts[r]
@@ -433,8 +453,25 @@ def convolution_rows(
                     for lo, hi in _toward_end(s):
                         at_a.append((r, first, sign * es[0], x - es[0], lo, hi, sign, weight))
         near += at_a + walk
-    rows, pans, ends, gaps, lo, hi, sign, weight = np.array(jacobi + near).reshape(-1, 8).T
-    o, w = singular_nodes(kernel, gaps, lo, hi, rule.order_per_panel, len(jacobi))
+    return Walk(np.array(jacobi + near).reshape(-1, 8), len(jacobi), far, sides, far_points)
+
+
+def convolution_rows(walk: Walk, kernel: Kernel, rule: QuadratureRule) -> Rows:
+    """K_P as :class:`Rows` for ``kernel``, from the :func:`convolution_walk` on ``rule``.
+
+    Only the nodes and weights of the pieces are made here.  The far
+    distances are formed on each call and never kept, since they are
+    (targets, panels, far_order).
+    """
+    far = []
+    for side, rows, pans in walk.far:
+        t, rights, off, far_w = walk.sides[side]
+        m = pans.stop - pans.start
+        u = (t[rows, None] - rights[:m])[:, :, None] + off[:m]
+        w = far_w[:m] * kernel.evaluate(u)
+        far.append((side, rows, pans, w[:, ::-1] if side else w))
+    rows, pans, ends, gaps, lo, hi, sign, weight = walk.pieces.T
+    o, w = singular_nodes(kernel, gaps, lo, hi, rule.order_per_panel, walk.jacobi)
     return Rows(
         rows.astype(np.intp),
         pans.astype(np.intp),
@@ -442,7 +479,7 @@ def convolution_rows(
         -sign[:, None] * o,
         weight[:, None] * w,
         far,
-        far_points,
+        walk.far_points,
     )
 
 
@@ -453,7 +490,8 @@ def convolve(f: Callable, pset: ParameterSet, kernel: Kernel, targets, rule, *, 
     ``message`` and ``suffix`` go to :func:`sample`.
     """
     targets = np.asarray(targets, dtype=float)
-    K = convolution_rows(pset, kernel, targets, _mesh_edges(pset.a, pset.b, rule), rule)
+    walk = convolution_walk(pset, targets, _mesh_edges(pset.a, pset.b, rule), rule)
+    K = convolution_rows(walk, kernel, rule)
     near = (K.ends[:, None] + K.offsets).ravel()
     # a far block's points once for all its targets, every point in one sample
     far = []

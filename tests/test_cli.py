@@ -354,6 +354,10 @@ GREEN = ["--alpha", "0.5", "--rect", "0,1,0,1", "--f", "t1", "--g", "t2", "--eta
               "--t", "5e-321"], "too small")
             for op in ("K", "B")
         ),
+        # a mesh whose nodes round to equal values
+        (["verify", "ibp", "--alpha", "0.5", "--psets", "left,left", "--rect",
+          "1,1.00000000001,0,1", "--f", "t1+t2", "--g", "t1*t2", "--eta1", "t1^2",
+          "--eta2", "t2^2"], "has nodes that round to equal values"),
         # a point closer to a weighted end than the smallest normal double
         *(
             (["eval", "--op", op, "--alpha", "0.5", "--pset", "0,1,1,0", "--f", "1+t",
@@ -364,7 +368,7 @@ GREEN = ["--alpha", "0.5", "--rect", "0,1,0,1", "--f", "t1", "--g", "t2", "--eta
     ids=["eval-rect", "eval-t2", "verify-ibp-eta", "converge-ibp-eta", "green-eta1",
          "converge-green-eta2", "green-rl-eta2", "t2-off-axis-2", "t2-nan", "t-off-axis-1",
          "alpha-1e-310", "alpha-1e-320", "alpha-5e-324", "verify-ibp-alpha-1e-310",
-         "subnormal-width-K", "subnormal-width-B", "subnormal-distance-K",
+         "subnormal-width-K", "subnormal-width-B", "colliding-nodes", "subnormal-distance-K",
          "subnormal-distance-B"],
 )
 def test_rejected_arguments_are_usage_errors(capsys, argv, fragment):

@@ -113,6 +113,16 @@ def test_halves_stay_finite_and_exact_on_tiny_intervals(side, width):
         assert abs(got - exact).max() <= 1e-13 * abs(exact).max()
 
 
+def test_a_mesh_whose_nodes_collide_is_refused():
+    # the end panel of [1, 1 + 1e-11] at 16x8 is about 1.2e-15 wide, five
+    # float spacings: its 16 nodes round to 6 values, and equal nodes
+    # have no barycentric weight
+    clear_matrix_cache()
+    with pytest.raises(ValueError, match=r"QuadratureRule\(order_per_panel=16, panels=8.*"
+                       r"\[1\.0, 1\.00000000001\] has nodes that round to equal values"):
+        kop_matrix(standard_left(1.0, 1.0 + 1e-11), rl_family().instantiate(0.5), RULE)
+
+
 @pytest.mark.parametrize("interval", [(5.0, 5.01), (-1000.0, -999.0), (1e4, 1e4 + 1.0)])
 def test_quadrature_points_on_a_mesh_node(interval):
     # the second form divides by zero at a point exactly on a node; the
@@ -197,6 +207,30 @@ def test_an_assembly_builds_each_uncached_key_once(monkeypatch):
     verify_green(*specs, 0.75, mixed, mixed, rl_family(), rect, rule)
     assert made == [right.as_tuple()]  # the second check reads the cache
     clear_matrix_cache()
+
+
+def test_every_kernel_on_a_mesh_reuses_its_table(monkeypatch):
+    # the kernel-free table of a half is built once for all kernels, gives
+    # the halves a cold build gives, and clear_matrix_cache empties it
+    rule = RULE.with_panels(16)
+    kernels = [rl_family().instantiate(0.3), tempered_family(1.5).instantiate(0.7)]
+    clear_matrix_cache()
+    walks = []
+    walk = opmatrix.convolution_walk
+    monkeypatch.setattr(opmatrix, "convolution_walk", lambda *a: walks.append(a) or walk(*a))
+    for P in (standard_left(-1.0, 2.0), standard_right(-1.0, 2.0)):
+        warm = [_pair(P, k, rule) for k in kernels]
+        info = opmatrix._table.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
+        assert len(walks) == 1
+        clear_matrix_cache()
+        assert opmatrix._table.cache_info().currsize == 0
+        for k, pair in zip(kernels, warm):
+            opmatrix._table.cache_clear()
+            for got, want in zip(_pair(P, k, rule), pair):
+                np.testing.assert_array_equal(got, want)
+        clear_matrix_cache()
+        walks.clear()
 
 
 def test_a_check_and_a_kop_start_no_thread():

@@ -392,8 +392,8 @@ _cases = st.fixed_dictionaries(
     {
         "a": st.floats(-3.0, 3.0),
         "width": st.floats(-2.0, 1.0).map(lambda e: 10.0**e),
-        "p": st.sampled_from([0.0, 1.0]) | st.floats(0.0, 2.0),
-        "q": st.sampled_from([0.0, 1.0]) | st.floats(0.0, 2.0),
+        "p": st.sampled_from([0.0, 1.0]) | st.floats(0.0, 2.0, allow_subnormal=False),
+        "q": st.sampled_from([0.0, 1.0]) | st.floats(0.0, 2.0, allow_subnormal=False),
         "alpha": st.floats(0.1, 0.9),
         "s": st.floats(0.05, 0.95),
         "expr": st.sampled_from(_OPERANDS),

@@ -24,10 +24,12 @@ def test_dual_is_involution_example():
 
 
 _finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+# a nonzero weight below the smallest normal double is refused
+_weight = st.floats(-1e6, 1e6, allow_subnormal=False)
 
 
 @settings(max_examples=100, deadline=None)
-@given(a=_finite, width=st.floats(1e-6, 1e6), p=_finite, q=_finite)
+@given(a=_finite, width=st.floats(1e-6, 1e6), p=_weight, q=_weight)
 def test_dual_involution_and_interval_preserved(a, width, p, q):
     P = ParameterSet(a, a + width, p, q)
     D = dual(P)
@@ -66,6 +68,15 @@ def test_subnormal_width_rejected(b):
     assert ParameterSet(0.0, 2.3e-308, 1.0, 0.0).b == 2.3e-308
 
 
+@pytest.mark.parametrize("weight", [5e-324, -1e-310, 2.2e-308])
+def test_subnormal_weight_rejected(weight):
+    # its terms underflow: verify_green gave rel_residual 1.0 at q = 5e-324
+    for p, q in ((weight, 0.0), (1.0, weight)):
+        with pytest.raises(ValueError, match=f"weight {'q' if p == 1.0 else 'p'}={weight!r}"):
+            ParameterSet(0.0, 1.0, p, q)
+    assert ParameterSet(0.0, 1.0, -2.3e-308, 0.0).p == -2.3e-308
+
+
 @pytest.mark.parametrize(
     "fields",
     [
@@ -99,7 +110,7 @@ def test_text_round_trip():
 
 
 @settings(max_examples=200, deadline=None)
-@given(a=_finite, width=st.floats(1e-6, 1e6), p=_finite, q=_finite)
+@given(a=_finite, width=st.floats(1e-6, 1e6), p=_weight, q=_weight)
 def test_text_round_trip_is_lossless(a, width, p, q):
     P = ParameterSet(a, a + width, p, q)
     assert parse_psets(P.to_text(), None) == (P,)
