@@ -64,7 +64,7 @@ import numpy as np
 
 from .funcspec import FuncSpec
 from .opmatrix import cached, kop_end_rows, kop_matrix
-from .pset import ParameterSet, standard_left, standard_right
+from .pset import ParameterSet, real, standard_left, standard_right
 from .quadrature import (
     DEFAULT_RULE,
     NonFiniteSampleError,
@@ -145,10 +145,12 @@ def _make_report(identity, lhs, rhs_area, rhs_boundary, alpha, kernel_label, pse
     )
 
 
-def _check_inputs(specs, alpha: float, p1: ParameterSet, p2: ParameterSet, rect: Rectangle):
+def _check_inputs(specs, alpha, p1: ParameterSet, p2: ParameterSet, rect: Rectangle) -> float:
+    """Refuse inputs the checks cannot take; returns alpha as a float (not a bool)."""
     for spec in specs:
         if spec.arity != 2:
             raise ValueError(f"{spec.label!r} must be a two-variable function")
+    alpha = real(alpha, "alpha")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
     if (p1.a, p1.b) != rect.axis1:
@@ -161,6 +163,7 @@ def _check_inputs(specs, alpha: float, p1: ParameterSet, p2: ParameterSet, rect:
             f"p-set interval [{p2.a}, {p2.b}] does not match rectangle axis 2 "
             f"[{rect.a2}, {rect.b2}]"
         )
+    return alpha
 
 
 def _sample(spec: FuncSpec, deriv: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -265,7 +268,7 @@ def verify_ibp_2d(
     rule: QuadratureRule = DEFAULT_RULE,
 ) -> VerificationReport:
     """Check the 2D integration-by-parts identity; boundary term is zero."""
-    _check_inputs((f, g, eta1, eta2), alpha, p1, p2, rect)
+    alpha = _check_inputs((f, g, eta1, eta2), alpha, p1, p2, rect)
     (k1, k1s), (k2, k2s) = _sides(p1), _sides(p2)
     # K_{P*} weights the same two halves, never K_P's transpose: the
     # residual would then vanish by construction.
@@ -297,7 +300,7 @@ def verify_green(
     rule: QuadratureRule = DEFAULT_RULE,
 ) -> VerificationReport:
     """Check the generalized Green identity (area plus contour terms)."""
-    _check_inputs((f, g, eta), alpha, p1, p2, rect)
+    alpha = _check_inputs((f, g, eta), alpha, p1, p2, rect)
     # C^1 hypotheses: all three operands need partial derivatives.
     for spec, axis in ((g, 1), (f, 2), (eta, 1), (eta, 2)):
         spec.partial(axis)

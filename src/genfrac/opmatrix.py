@@ -26,17 +26,29 @@ bytes (``_CACHE_BYTES``).  Cached arrays are read-only, so a caller
 cannot corrupt a later check by writing into one.
 
 What an assembly needs of its mesh whatever the kernel is kept apart,
-per (p-set, rule), in a small cache of its own (``_table``, at most
-``_TABLES`` entries), so that it never evicts a matrix or a moment: the
-nodes in panels, their barycentric weights and span exponents, the
-:func:`~genfrac.quadrature.convolution_walk` of the nodes and the two
-ends (the pieces as a (pieces, 8) table, and the far groups), and each
-side's far interpolation matrix.  A half holds about 70, 136 and 240 KB
-at 128, 256 and 512 nodes, of which the piece table is 43, 82 and
-132 KB; nothing in it grows with targets times far points.  A new
-kernel or order on a mesh then pays only for the kernel values, the
-near interpolation and the far products.  The table refuses a mesh
-whose nodes round to equal values, which have no barycentric weight.
+per (p-set, rule), in a cache of its own (``_TABLES``), so that it
+never evicts a matrix or a moment.  It is bounded by its bytes too
+(``_TABLE_BYTES``, 32 MiB), and evicts through the same code.  A table
+holds the nodes in panels, their barycentric weights and span exponents,
+the :func:`~genfrac.quadrature.convolution_walk` of the nodes and the
+two ends (the pieces as a (pieces, 8) table, and the far groups), each
+side's far interpolation matrix, and the interpolation terms of the
+walk's Gauss-Legendre near pieces with their sums.  A half's table takes
+1.28, 2.39 and 3.61 MB at 128, 256 and 512 nodes (6.0 MB at 1024); the
+terms are 1.21, 2.25 and 3.37 MB of that.  The 12 halves of a
+three-level study at 128, 256 and 512 nodes on a non-square rectangle
+take 29 MB, and fit.  The table refuses a mesh whose nodes round to
+equal values, which have no barycentric weight.
+
+So what is per mesh and what is per kernel: the points of the far
+panels and of the geometric Gauss-Legendre pieces (on the panels next
+to a target, and toward a) are the same for every kernel, and so are
+their interpolation terms.  The Gauss-Jacobi piece of each target has
+nodes that move with the kernel's singularity exponent sigma, so its
+terms are formed on each assembly.  A new kernel or order on a mesh
+then pays for the kernel values and weights of every piece, the
+Gauss-Jacobi terms, one multiply and sum per near piece, and the far
+products.
 
 Assembly runs on the calling thread.  The convolution rule of
 :func:`genfrac.quadrature.convolution_walk` splits at the mesh's own
@@ -44,20 +56,21 @@ panel edges.  A far panel's points are the same for every target, so
 they go through one fixed interpolation matrix per panel, and the far
 field of all the targets in one panel is one matrix product.  The points
 near a target (its Gauss-Jacobi piece and the geometric pieces of the
-panels next to it and of the end panel) go through the second form in a
-few array passes per block of ``_BLOCK`` pieces: the terms
-b_j / (t - x_j), their sum, and one multiply by w / sum, which folds
-the quadrature weight w into the normaliser.  Each t - x_j is taken as
+panels next to it and of the end panel) go through the second form:
+the terms b_j / (t - x_j) and their sum (:func:`_terms`), then one
+multiply by w / sum, which folds the quadrature weight w into the
+normaliser, summed over the piece's points.  Each t - x_j is taken as
 (end - x_j) + offset from the rule's local offsets, so its rounding is
-that of a panel, not of |a|.
-A point exactly on a node, whose sum is infinite, is set to w at that
-node afterwards; a row that is non-finite for any other reason stays
-so.  One unbuffered add (``np.add.at``) puts each piece into its (row,
-panel) slot of the matrix, since a slot can have several pieces.  The
-barycentric weights b_j come from node differences scaled by a power of
-two near the panel's span, and the differences t - x_j are scaled by the
-same power, so the weights, the terms and their sum stay finite on
-intervals of any width.
+that of a panel, not of |a|.  A point exactly on a node, whose sum is
+infinite, gets the term 1 at that node, 0 elsewhere and the sum 1, so
+that all its weight goes to that node; a row that is non-finite for any
+other reason stays so.  Terms are formed a block of ``_BLOCK`` pieces
+at a time.  One unbuffered add (``np.add.at``) puts each piece into its
+(row, panel) slot of the matrix, in the pieces' order, since a slot can
+have several pieces.  The barycentric weights b_j come from node
+differences scaled by a power of two near the panel's span, and the
+differences t - x_j are scaled by the same power, so the weights, the
+terms and their sum stay finite on intervals of any width.
 
 For polynomial operands of degree below the panel order the interpolation
 is exact; for the smooth test corpus its error is far below quadrature
@@ -68,12 +81,17 @@ same accuracy, which the test suite checks explicitly.
 from __future__ import annotations
 
 from collections import OrderedDict
-from functools import lru_cache
 
 import numpy as np
 
 from .pset import ParameterSet
-from .quadrature import QuadratureRule, composite_nodes, convolution_rows, convolution_walk
+from .quadrature import (
+    QuadratureRule,
+    composite_nodes,
+    convolution_rows,
+    convolution_walk,
+    legendre_offsets,
+)
 from .specfun import Kernel
 
 __all__ = ["kop_matrix", "kop_end_rows", "clear_matrix_cache"]
@@ -82,27 +100,71 @@ __all__ = ["kop_matrix", "kop_end_rows", "clear_matrix_cache"]
 # is 2 MiB; a research sweep over fresh orders assembles new ones on
 # every check, so an unbounded cache only grows.
 _CACHE_BYTES = 128 * 2**20
-_CACHE: OrderedDict = OrderedDict()  # key -> (value, nbytes), oldest first
-_cache_total = 0
 
-# Kernel-free mesh tables (_table) kept, one per (p-set, rule).  A
-# convergence study on one rectangle uses two halves per axis interval at
-# each of its levels: 12 at most for three levels.
-_TABLES = 16
+# Total bytes the kernel-free mesh tables (_table) keep, one per (p-set,
+# rule).  A convergence study on a rectangle uses two halves per axis
+# interval at each level: the 12 halves of 128, 256 and 512 nodes on a
+# non-square rectangle take 29 MB (27.8 MiB).
+_TABLE_BYTES = 32 * 2**20
 
-# Pieces interpolated at once in _assemble.  The near interpolation holds
-# two (pieces, order, order) arrays; a 512-node half has about 2,000
-# pieces, 4.2 MB each in one pass, which set the peak memory of a sweep.
-# Blocks of 256 keep them at 512 KiB at order 16, and run faster.
+# Pieces whose interpolation terms are formed at once.  A 512-node half
+# has about 2,000 near pieces, and their terms and node differences took
+# 4.2 MB each in one pass, which set the peak memory of a sweep.  Blocks
+# of 256 keep them at 512 KiB at order 16, and run faster.
 _BLOCK = 256
+
+
+class _Lru(OrderedDict):
+    """key -> (value, nbytes), least recently used first; ``total`` is their bytes."""
+
+    total = 0
+
+    def fetch(self, key, build, budget: int):
+        """The value under ``key``, else ``build()``, kept while the total allows.
+
+        The least recently used entries go when the total passes
+        ``budget``, and a value larger than that is returned but not kept.
+        """
+        hit = self.get(key)
+        if hit is not None:
+            self.move_to_end(key)
+            return hit[0]
+        value = build()
+        size = _seal(value)
+        if size <= budget:
+            self[key] = (value, size)
+            self.total += size
+            while self.total > budget:
+                _, (_, old) = self.popitem(last=False)
+                self.total -= old
+        return value
+
+    def clear(self) -> None:
+        super().clear()
+        self.total = 0
+
+
+_CACHE = _Lru()  # operator matrices and moments
+_TABLES = _Lru()  # the kernel-free mesh tables of _table
+
+
+def _seal(value) -> int:
+    """Make the arrays in ``value``, and in its tuples, lists and dicts, read-only.
+
+    Returns their bytes, each array counted by its own ``nbytes``.
+    """
+    if isinstance(value, np.ndarray):
+        value.flags.writeable = False
+        return value.nbytes
+    if isinstance(value, dict):
+        value = list(value.values())
+    return sum(map(_seal, value)) if isinstance(value, (tuple, list)) else 0
 
 
 def clear_matrix_cache() -> None:
     """Empty the shared cache (operator matrices and moments) and the mesh tables."""
-    global _cache_total
-    _table.cache_clear()
+    _TABLES.clear()
     _CACHE.clear()
-    _cache_total = 0
 
 
 def cached(key, build):
@@ -112,24 +174,11 @@ def cached(key, build):
     The least recently used entries go when the total passes
     ``_CACHE_BYTES``, and a value larger than that is returned but not kept.
     """
-    global _cache_total
-    if key is not None:
-        hit = _CACHE.get(key)
-        if hit is not None:
-            _CACHE.move_to_end(key)
-            return hit[0]
-    value = build()
-    arrays = value if isinstance(value, tuple) else (value,)
-    for arr in arrays:
-        arr.flags.writeable = False
-    size = sum(arr.nbytes for arr in arrays)
-    if key is not None and size <= _CACHE_BYTES:
-        _CACHE[key] = (value, size)
-        _cache_total += size
-        while _cache_total > _CACHE_BYTES:
-            _, (_, old) = _CACHE.popitem(last=False)
-            _cache_total -= old
-    return value
+    if key is None:
+        value = build()
+        _seal(value)
+        return value
+    return _CACHE.fetch(key, build, _CACHE_BYTES)
 
 
 def _bary_weights(panels: np.ndarray) -> np.ndarray:
@@ -147,26 +196,52 @@ def _bary_weights(panels: np.ndarray) -> np.ndarray:
     return 1.0 / d.prod(axis=2)
 
 
-def _interpolate(diffs, w, bws) -> np.ndarray:
-    """``w l_j`` at points whose differences to their panel's nodes are ``diffs``.
+def _terms(diffs, bws):
+    """``(terms, total)``: b_j / d_j at points whose node differences d_j are ``diffs``, and their sum.
 
-    ``diffs`` is (..., order); ``w`` and the barycentric weights ``bws``
-    broadcast against it and its points.
+    ``diffs`` is (..., order); the barycentric weights ``bws`` broadcast
+    against it.  A point on a node gives an infinite total: its terms
+    become 1 at that node and 0 elsewhere, and its total 1, so that a
+    weight w on the point goes to that node whole.  Every other
+    non-finite row stays so, for the report's finiteness check.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.divide(bws, diffs)
         total = terms.sum(axis=-1)
-        terms *= (w / total)[..., None]
-    # a point on a node gives an infinite total; every other non-finite
-    # row stays so, for the report's finiteness check
     bad = ~np.isfinite(total)
     if bad.any():
         exact = diffs[bad] == 0.0
         hit = exact.any(axis=-1)
-        fixed = terms[bad]
-        fixed[hit] = np.broadcast_to(w, total.shape)[bad][hit, None] * exact[hit]
-        terms[bad] = fixed
-    return terms
+        fixed, sums = terms[bad], total[bad]
+        fixed[hit] = exact[hit]
+        sums[hit] = 1.0
+        terms[bad], total[bad] = fixed, sums
+    return terms, total
+
+
+def _interpolate(diffs, w, bws) -> np.ndarray:
+    """``w l_j`` at points whose differences to their panel's nodes are ``diffs``.
+
+    ``w`` broadcasts against the points; :func:`_terms` gives the rest.
+    """
+    terms, total = _terms(diffs, bws)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return terms * (w / total)[..., None]
+
+
+def _piece_rows(terms, total, w) -> np.ndarray:
+    """``sum_i w_i l_j(x_i)``, one row per piece, from the :func:`_terms` of its points.
+
+    ``terms`` is (pieces, points, nodes).  The products and their sum
+    over the points are those of ``_interpolate(...).sum(axis=1)``, in
+    the same order, without its (pieces, points, nodes) temporary.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        c = w / total
+        rows = terms[:, 0] * c[:, :1]
+        for i in range(1, c.shape[1]):
+            rows += terms[:, i] * c[:, i : i + 1]
+    return rows
 
 
 def _differences(ends, offsets, nodes, exp) -> np.ndarray:
@@ -178,15 +253,20 @@ def _differences(ends, offsets, nodes, exp) -> np.ndarray:
     return np.ldexp(ends[:, None] - nodes, exp)[:, None, :] + np.ldexp(offsets, exp)[:, :, None]
 
 
-@lru_cache(maxsize=_TABLES)
+def _blocks(stop: int):
+    """Slices of at most ``_BLOCK`` pieces that cover [0, stop) in order."""
+    return (slice(k, min(k + _BLOCK, stop)) for k in range(0, stop, _BLOCK))
+
+
 def _table(pset: ParameterSet, rule: QuadratureRule):
     """What :func:`_assemble` needs of the p-set's mesh whatever the kernel.
 
     The panels of nodes, their barycentric weights and span exponents,
-    the :func:`~genfrac.quadrature.convolution_walk` of the nodes and
-    the two ends, and each side's far interpolation matrix.  Refuses a
-    mesh whose nodes are not strictly increasing: equal nodes have no
-    barycentric weight.
+    the :func:`~genfrac.quadrature.convolution_walk` of the nodes and the
+    two ends, each side's far interpolation matrix, and the
+    :func:`_terms` of the walk's Gauss-Legendre pieces with their totals.
+    Refuses a mesh whose nodes are not strictly increasing: equal nodes
+    have no barycentric weight.
     """
     nodes, _, edges = composite_nodes(pset.a, pset.b, rule)
     if not (np.diff(nodes) > 0.0).all():
@@ -202,14 +282,23 @@ def _table(pset: ParameterSet, rule: QuadratureRule):
     far = {}
     for side, (ends, offsets) in walk.far_points.items():
         far[side] = _interpolate(_differences(ends, offsets, panels, exp[:, None]), 1.0, bws)
-    for arr in (panels, bws, exp, walk.pieces, *far.values()):  # shared by every kernel
-        arr.flags.writeable = False
-    return panels, bws, exp, walk, far
+    # the Gauss-Legendre pieces' points, as convolution_rows places them
+    _, pans, ends, _, lo, hi, sign, _ = walk.pieces[walk.jacobi :].T
+    pans = pans.astype(np.intp)
+    order = rule.order_per_panel
+    offsets = -sign[:, None] * legendre_offsets(lo, hi, order)[0]
+    terms, total = np.empty((pans.size, order, order)), np.empty((pans.size, order))
+    for b in _blocks(pans.size):
+        p = pans[b]
+        diffs = _differences(ends[b], offsets[b], panels[p], exp[p, None])
+        terms[b], total[b] = _terms(diffs, bws[p])
+    return panels, bws, exp, walk, far, terms, total
 
 
 def _assemble(pset: ParameterSet, kernel: Kernel, rule: QuadratureRule):
     """(mesh rows, end rows) of K_P on its composite mesh."""
-    panels, bws, exp, walk, far = _table(pset, rule)
+    table = _TABLES.fetch((pset, rule), lambda: _table(pset, rule), _TABLE_BYTES)
+    panels, bws, exp, walk, far, terms, total = table
     K = convolution_rows(walk, kernel, rule)
     out = np.zeros((panels.size + 2, *panels.shape))
     # the far points of a panel are the same for every target: one
@@ -217,14 +306,18 @@ def _assemble(pset: ParameterSet, kernel: Kernel, rule: QuadratureRule):
     for side, rows, pans, w in K.far:
         block = np.matmul(w.transpose(1, 0, 2), far[side][pans])
         out[rows, pans] += block.transpose(1, 0, 2)
-    # the near points a block of pieces at a time, then one sum per piece;
-    # a (row, panel) pair can have several pieces
-    for start in range(0, K.pans.size, _BLOCK):
-        b = slice(start, start + _BLOCK)
+    # the near points one row per piece, in the pieces' order, since a
+    # (row, panel) pair can have several.  The Gauss-Jacobi pieces come
+    # first; their points move with sigma, so their terms are formed here,
+    # a block at a time.  The Gauss-Legendre pieces' terms are the table's.
+    jacobi = walk.jacobi
+    for b in _blocks(jacobi):
         pans = K.pans[b]
         diffs = _differences(K.ends[b], K.offsets[b], panels[pans], exp[pans, None])
-        sums = _interpolate(diffs, K.w[b], bws[pans]).sum(axis=1)
-        np.add.at(out, (K.rows[b], pans), sums)
+        np.add.at(out, (K.rows[b], pans), _piece_rows(*_terms(diffs, bws[pans]), K.w[b]))
+    legendre = slice(jacobi, None)
+    near = _piece_rows(terms, total, K.w[legendre])
+    np.add.at(out, (K.rows[legendre], K.pans[legendre]), near)
     M = out.reshape(panels.size + 2, -1)
     return M[: panels.size], M[panels.size :]
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .funcspec import FuncSpec
-from .pset import ParameterSet
+from .pset import ParameterSet, real
 from .quadrature import DEFAULT_RULE, QuadratureRule, convolve
 from .specfun import Kernel, KernelFamily
 
@@ -40,7 +40,8 @@ class OperatorRequest:
 
     The kernel is instantiated internally: the K operator uses order
     ``alpha`` directly, while A and B pair order alpha with the kernel at
-    ``1 - alpha``; callers cannot mismatch the two.
+    ``1 - alpha``; callers cannot mismatch the two.  ``alpha`` is any
+    real number but a bool, and is stored as a float.
     """
 
     kind: str
@@ -52,6 +53,7 @@ class OperatorRequest:
     def __post_init__(self) -> None:
         if self.kind not in ("K", "A", "B"):
             raise ValueError(f"operator kind must be 'K', 'A' or 'B', got {self.kind!r}")
+        object.__setattr__(self, "alpha", real(self.alpha, "alpha"))
         if self.kind == "K":
             if not 0.0 < self.alpha <= 1.0:
                 raise ValueError(f"K operator needs alpha in (0, 1], got {self.alpha!r}")

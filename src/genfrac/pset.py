@@ -39,6 +39,17 @@ def finite(v) -> bool:
         return False
 
 
+def real(v, what: str) -> float:
+    """``v`` as a float: any finite real number, numpy's too, except a bool.
+
+    Anything else raises ValueError naming ``what``.
+    """
+    # float first: it answers at once, and the ABC check is several times slower
+    if not (isinstance(v, (float, numbers.Real)) and not isinstance(v, bool) and finite(v)):
+        raise ValueError(f"{what} must be a finite real, got {v!r}")
+    return float(v)
+
+
 @dataclass(frozen=True)
 class ParameterSet:
     """Immutable p-set <a, b, p, q> with a < b and finite weights.
@@ -54,12 +65,7 @@ class ParameterSet:
 
     def __post_init__(self) -> None:
         for name in ("a", "b", "p", "q"):
-            v = getattr(self, name)
-            # float first: it answers at once, and the ABC check is several times slower
-            real = isinstance(v, (float, numbers.Real)) and not isinstance(v, bool)
-            if not real or not finite(v):
-                raise ValueError(f"p-set field {name} must be a finite real, got {v!r}")
-            object.__setattr__(self, name, float(v))
+            object.__setattr__(self, name, real(getattr(self, name), f"p-set field {name}"))
         if not self.a < self.b:
             raise ValueError(f"p-set needs a < b, got a={self.a!r}, b={self.b!r}")
         # Below the smallest normal double the width keeps too few bits:

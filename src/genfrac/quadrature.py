@@ -273,17 +273,25 @@ def singular_nodes(kernel: Kernel, gaps, lo, hi, n: int, touching: int):
     two rounded points.
     """
     sigma = kernel.singularity_exponent
-    xg, wg = _leggauss(n)
     xj, wj = _jacobi_left(n, sigma)
-    half = (0.5 * (hi - lo))[:, None]
-    o = lo[:, None] + half * (1.0 + xg)
+    o, half = legendre_offsets(lo, hi, n)
     o[:touching] = half[:touching] * (1.0 + xj)
     u = o + gaps[:, None]
     w = half * kernel.evaluate(u)
     # the Jacobi weight is (u / half)**-sigma; k u**sigma stays smooth
     w[:touching] *= wj * (u[:touching] / half[:touching]) ** sigma
-    w[touching:] *= wg
+    w[touching:] *= _leggauss(n)[1]
     return o, w
+
+
+def legendre_offsets(lo, hi, n: int):
+    """``(o, half)``: n Gauss-Legendre offsets in each piece [lo, hi], and its half width.
+
+    :func:`singular_nodes` places all but its touching pieces' points so;
+    they do not depend on the kernel.
+    """
+    half = (0.5 * (hi - lo))[:, None]
+    return lo[:, None] + half * (1.0 + _leggauss(n)[0]), half
 
 
 class Rows(NamedTuple):

@@ -15,7 +15,7 @@ from typing import Callable, Literal
 
 import numpy as np
 
-from .pset import format_number
+from .pset import format_number, real
 
 __all__ = [
     "gamma",
@@ -55,6 +55,15 @@ class Kernel:
     ``evaluate(x) * x**sigma`` stays bounded and bounded away from zero as
     x -> 0+; the quadrature engine folds exactly this power into
     Gauss-Jacobi weights.
+
+    The contract the Gauss-Jacobi piece at a convolution's target relies
+    on: ``evaluate(x) * x**sigma`` extends smoothly to x = 0.  That piece
+    integrates the product as a polynomial, so a kernel with a second
+    power, such as x**(alpha-1) + x**(alpha-0.7) declared with
+    sigma = 1 - alpha (the product is 1 + x**0.3), meets the bound above
+    but not this, and its operators converge slowly (at about first order
+    in the panel count) without any sign in the residual.  The built-in
+    kernels, x**(alpha-1) e^(-lam x) up to a constant, meet it.
     """
 
     order_param: float
@@ -100,7 +109,11 @@ class KernelFamily:
 
 
 def _power_kernel(alpha: float, lam: float, label: str) -> Kernel:
-    """x**(alpha-1) e^(-lam x)/gamma(alpha) on (0, L]; lam = 0 leaves it undamped."""
+    """x**(alpha-1) e^(-lam x)/gamma(alpha) on (0, L]; lam = 0 leaves it undamped.
+
+    ``alpha`` is any real number but a bool, and is stored as a float.
+    """
+    alpha = real(alpha, "alpha")
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha!r}")
     if lam < 0.0 or not math.isfinite(lam):

@@ -340,6 +340,19 @@ def test_convergence_study_rejects_nonincreasing():
         convergence_study("stokes", inputs, [QuadratureRule(panels=8)])
 
 
+def test_a_numpy_order_gives_a_report_that_serializes():
+    # a float32 order used to reach the report as is, and json refused it
+    specs = (e2("t1+t2"), e2("t1*t2"), e2("1+t1^2"))
+    report = verify_green(*specs, np.float32(0.5), LEFT1, LEFT1, RL, RECT, QuadratureRule(panels=4))
+    assert type(report.alpha) is float and report.alpha == 0.5
+    assert json.loads(json.dumps(report.to_json_dict()))["alpha"] == 0.5
+    ibp = verify_ibp_2d(*specs, e2("t2^2"), np.float64(0.5), LEFT1, LEFT1, RL, RECT)
+    assert type(ibp.alpha) is float
+    for bad in (True, np.bool_(False), "0.5"):
+        with pytest.raises(ValueError, match="alpha must be a finite real"):
+            verify_green(*specs, bad, LEFT1, LEFT1, RL, RECT)
+
+
 def test_report_json_schema():
     r = verify_ibp_2d(
         e2("t1+t2"), e2("t1*t2"), e2("t1^2"), e2("t2^2"), 0.5, LEFT1, LEFT1, RL, RECT
@@ -519,7 +532,7 @@ def test_cache_stays_within_its_byte_budget(monkeypatch, budget):
     got = [_both([e2(s) for s in QUAD], RECT, rule, alpha=a) for a in (0.2, 0.4, 0.6)]
     sizes = [size for _, size in opmatrix._CACHE.values()]
     assert got == want
-    assert sum(sizes) == opmatrix._cache_total <= budget
+    assert sum(sizes) == opmatrix._CACHE.total <= budget
     if budget == 1_000:
         # grids, moments and matrices are returned but not kept; one 2 x 32
         # jump moment fits

@@ -210,27 +210,63 @@ def test_an_assembly_builds_each_uncached_key_once(monkeypatch):
 
 
 def test_every_kernel_on_a_mesh_reuses_its_table(monkeypatch):
-    # the kernel-free table of a half is built once for all kernels, gives
-    # the halves a cold build gives, and clear_matrix_cache empties it
-    rule = RULE.with_panels(16)
+    # the kernel-free table of a half is built once for all kernels: a
+    # second kernel forms node differences for its Gauss-Jacobi pieces
+    # alone, and gets the halves a freshly emptied table gives.  On
+    # [-1, 2] Gauss-Legendre pieces that span a whole panel land on its
+    # nodes, so the table holds rows fixed up for a node hit; the other
+    # intervals are those of test_quadrature_points_on_a_mesh_node.
+    rule = RULE.with_panels(32)
     kernels = [rl_family().instantiate(0.3), tempered_family(1.5).instantiate(0.7)]
-    clear_matrix_cache()
-    walks = []
-    walk = opmatrix.convolution_walk
+    walks, rows = [], []
+    walk, differences = opmatrix.convolution_walk, opmatrix._differences
     monkeypatch.setattr(opmatrix, "convolution_walk", lambda *a: walks.append(a) or walk(*a))
-    for P in (standard_left(-1.0, 2.0), standard_right(-1.0, 2.0)):
-        warm = [_pair(P, k, rule) for k in kernels]
-        info = opmatrix._table.cache_info()
-        assert (info.hits, info.misses) == (1, 1)
-        assert len(walks) == 1
-        clear_matrix_cache()
-        assert opmatrix._table.cache_info().currsize == 0
-        for k, pair in zip(kernels, warm):
-            opmatrix._table.cache_clear()
-            for got, want in zip(_pair(P, k, rule), pair):
-                np.testing.assert_array_equal(got, want)
-        clear_matrix_cache()
-        walks.clear()
+    # the rows of node differences formed: one per piece or far panel
+    monkeypatch.setattr(
+        opmatrix, "_differences", lambda *a: rows.append(a[0].size) or differences(*a)
+    )
+    for a, b in [(-1.0, 2.0), (5.0, 5.01), (-1000.0, -999.0), (1e4, 1e4 + 1.0)]:
+        for P in (standard_left(a, b), standard_right(a, b)):
+            clear_matrix_cache()
+            warm = [_pair(P, kernels[0], rule)]
+            (key,) = opmatrix._TABLES
+            _, _, _, table_walk, _, _, total = opmatrix._TABLES[key][0]
+            assert (total == 1.0).any() == (a == -1.0)
+            rows.clear()
+            warm.append(_pair(P, kernels[1], rule))
+            assert sum(rows) == table_walk.jacobi
+            assert len(walks) == 1 and list(opmatrix._TABLES) == [key]
+            for k, pair in zip(kernels, warm):
+                clear_matrix_cache()
+                assert not opmatrix._TABLES and opmatrix._TABLES.total == 0
+                for got, want in zip(_pair(P, k, rule), pair):
+                    np.testing.assert_array_equal(got, want)
+            walks.clear()
+    clear_matrix_cache()
+
+
+def test_the_mesh_tables_stay_within_their_byte_bound(monkeypatch):
+    # the tables go least recently used first, as the shared cache's
+    # entries do; one larger than the bound is used but not kept, and
+    # clear_matrix_cache empties them
+    rule = RULE.with_panels(8)
+    kern = rl_family().instantiate(0.5)
+    halves = [standard_left(0.0, 1.0), standard_right(0.0, 1.0), standard_left(-1.0, 2.0)]
+    clear_matrix_cache()
+    want = _pair(halves[0], kern, rule)
+    size = opmatrix._TABLES.total
+    monkeypatch.setattr(opmatrix, "_TABLE_BYTES", 2 * size)
+    for P in halves:
+        _pair(P, kern, rule)
+        assert sum(s for _, s in opmatrix._TABLES.values()) == opmatrix._TABLES.total <= 2 * size
+    assert list(opmatrix._TABLES) == [(P, rule) for P in halves[1:]]
+    clear_matrix_cache()
+    assert not opmatrix._TABLES and opmatrix._TABLES.total == 0
+    monkeypatch.setattr(opmatrix, "_TABLE_BYTES", size // 2)
+    for got, w in zip(_pair(halves[0], kern, rule), want):
+        np.testing.assert_array_equal(got, w)
+    assert not opmatrix._TABLES and opmatrix._TABLES.total == 0
+    clear_matrix_cache()
 
 
 def test_a_check_and_a_kop_start_no_thread():

@@ -88,6 +88,17 @@ def test_operator_alpha_validation():
         OperatorRequest("Q", 0.5, LEFT, RL)
 
 
+@pytest.mark.parametrize("kind", ["K", "A", "B"])
+def test_operator_order_is_a_real_number_stored_as_float(kind):
+    # True == 1 passed the range check of K, and kop then gave the
+    # order-1 value; a numpy real is kept, but as a float
+    for bad in (True, False, np.bool_(True), "0.5", None):
+        with pytest.raises(ValueError, match="alpha must be a finite real"):
+            OperatorRequest(kind, bad, LEFT, RL)
+    req = OperatorRequest(kind, np.float32(0.5), LEFT, RL)
+    assert type(req.alpha) is float and req.alpha == 0.5
+
+
 def test_kind_mismatch_rejected():
     with pytest.raises(ValueError):
         kop(A(0.5, LEFT), ONE, 0.5)

@@ -78,6 +78,20 @@ def test_rl_kernel_domain(alpha):
         rl_kernel(alpha)
 
 
+def test_kernel_order_is_a_real_number_stored_as_float():
+    # True == 1 passed the range check, and gave the order-1 kernel
+    for bad in (True, np.bool_(True), "0.5"):
+        with pytest.raises(ValueError, match="alpha must be a finite real"):
+            rl_kernel(bad)
+        with pytest.raises(ValueError, match="alpha must be a finite real"):
+            tempered_kernel(bad, 1.0)
+    with pytest.raises(ValueError, match="alpha must be a finite real"):
+        rl_family().instantiate(True)
+    for k in (rl_kernel(np.float32(0.5)), tempered_kernel(np.float64(0.5), 1.0)):
+        assert type(k.order_param) is float and k.order_param == 0.5
+        assert type(k.singularity_exponent) is float
+
+
 @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
 def test_singularity_exponent_honesty(alpha):
     # evaluate(x) * x**sigma must stay in a bounded, nonvanishing band near 0

@@ -22,10 +22,18 @@ x' = b1 - t1 and y' = b2 - t2, reflecting both axes maps each right
 operator onto the left one.  The IBP terms keep the left closed forms;
 every Green term changes sign, since each carries one derivative.
 
-Mixed p-sets <a, b, p, q> are checked for IBP only.  Fractional
-integration by parts moves the right half onto the other factor,
-iint u (K_right v) = iint v (K_left u), so each axis term is p times its
-left value plus q times the left value with u and v swapped.
+Mixed p-sets <a, b, p, q> are checked on the same operands as the left
+ones.  Fractional integration by parts moves the right half onto the
+other factor, iint u (K_right v) = iint v (K_left u), so each IBP axis
+term is p times its left value plus q times the left value with u and v
+swapped.  Under Green the terms are linear in the halves too: lhs =
+p lhs_left + q lhs_right, and boundary = q boundary_left + p
+boundary_right, since the contour term weights P* = <a, b, q, p>.  The
+same move gives lhs_right, with B_right eta = K_right (eta'), as the
+integral of eta' (K_left g).  boundary_left needs the end traces of the
+left RL integral of order 1-alpha at b, where x = L: K x^m there is
+_k(m, 1-alpha) L^(m+1-alpha), and 0 at a.  The identity holds for each
+half exactly, so rhs_area is lhs - boundary again.
 
 Under the tempered kernel k(u) = u^(alpha-1) e^(-lam u) / Gamma(alpha)
 the IBP terms with left p-sets still factor.  Each axis term
@@ -33,8 +41,7 @@ int_0^L x^m (K x^c)(x) dx equals int_0^L k(u) int_u^L x^m (x-u)^c dx du;
 for integer m the inner integral is a binomial sum of powers of u and
 L-u, and mpmath's quadrature takes the outer one.
 
-Still open: Green with mixed p-sets, and the tempered kernel beyond IBP
-with left p-sets.
+Still open: the tempered kernel beyond IBP with left p-sets.
 """
 
 from math import gamma
@@ -66,6 +73,9 @@ IBP_TOL = {"lhs": 1e-12, "rhs_area": 1e-11}
 GREEN_TOL = {"lhs": 1e-8, "rhs_area": 1e-11, "rhs_boundary": 1e-13}
 # Tempered IBP, fixed before its first run: the power kernel's bounds.
 TEMPERED_IBP_TOL = IBP_TOL
+# Green with mixed p-sets, fixed before its first run: the bounds of the
+# left and right p-sets.
+MIXED_GREEN_TOL = GREEN_TOL
 LAM = 1.0
 
 
@@ -149,6 +159,26 @@ def _green_terms(alpha):
     return {"lhs": lhs, "rhs_area": lhs - boundary, "rhs_boundary": boundary}
 
 
+def _mixed_green_terms(alpha, p, q):
+    left = _green_terms(alpha)
+    k = _k(2, 1 - alpha)  # K_left of order 1-alpha on x^2 (g) and on y^2 (f)
+    # lhs_right: iint eta_x (K_left g) + iint eta_y (K_left f), with
+    # eta_x = 1.5 x^0.5 y^2 and eta_y = 2 x^1.5 y
+    lhs_right = 1.5 * k * _power_integral(3.5 - alpha, L1) * _power_integral(3, L2)
+    lhs_right += 2 * k * _power_integral(2.5, L1) * _power_integral(4 - alpha, L2)
+    # boundary_left: [eta K_left g] at t1 = b1 over t2, and [eta K_left f]
+    # at t2 = b2 over t1; eta there is 1 + L1^1.5 y^2, and 1 + x^1.5 L2^2
+    boundary_left = k * L1 ** (3 - alpha) * (
+        _power_integral(1, L2) + L1**1.5 * _power_integral(3, L2)
+    )
+    boundary_left += k * L2 ** (3 - alpha) * (
+        _power_integral(1, L1) + L2**2 * _power_integral(2.5, L1)
+    )
+    lhs = p * left["lhs"] + q * lhs_right
+    boundary = q * boundary_left + p * left["rhs_boundary"]
+    return {"lhs": lhs, "rhs_area": lhs - boundary, "rhs_boundary": boundary}
+
+
 @pytest.mark.parametrize("alpha", ALPHAS)
 def test_ibp_terms_match_the_closed_form(alpha):
     lhs = _ibp_lhs(alpha)
@@ -188,6 +218,14 @@ def test_mixed_ibp_terms_match_the_closed_form(alpha, weights):
     report = verify_ibp_2d(*map(e2, IBP_OPERANDS), alpha, *psets, rl_family(), RECT, RULE)
     _assert_terms(report, {"lhs": lhs, "rhs_area": lhs}, IBP_TOL)
     assert report.rhs_boundary == 0.0
+
+
+@pytest.mark.parametrize("weights", [(0.5, 0.5), (0.3, 0.7), (1.5, -0.25)])
+@pytest.mark.parametrize("alpha", ALPHAS)
+def test_mixed_green_terms_match_the_closed_form(alpha, weights):
+    psets = (ParameterSet(*RECT.axis1, *weights), ParameterSet(*RECT.axis2, *weights))
+    report = verify_green(*map(e2, GREEN_OPERANDS), alpha, *psets, rl_family(), RECT, RULE)
+    _assert_terms(report, _mixed_green_terms(alpha, *weights), MIXED_GREEN_TOL)
 
 
 @pytest.mark.parametrize("alpha", ALPHAS)
