@@ -18,13 +18,7 @@ import sys
 
 from .corpus import corpus_json
 from .funcspec import parse_expression
-from .identities import (
-    convergence_study,
-    reports_to_csv,
-    verify_green,
-    verify_green_rl_corollary,
-    verify_ibp_2d,
-)
+from .identities import IDENTITY_CHECKS, convergence_study, reports_to_csv
 from .ops1d import OperatorRequest, aop, bop, kop
 from .ops2d import PartialRequest, partial_aop, partial_bop, partial_kop
 from .pset import parse_psets, standard_left
@@ -198,18 +192,14 @@ def _verify_inputs(args, need_eta: bool) -> dict:
     return inputs
 
 
+# The CLI spelling of each identity -> its key in IDENTITY_CHECKS and reports.
 _IDENTITY_KEY = {"ibp": "ibp2d", "green": "green", "green-rl": "green_rl_corollary"}
 
 
 def _cmd_verify(args) -> int:
     inputs = _verify_inputs(args, need_eta=args.identity != "ibp")
     rule = _rule_from(args)
-    fn = {
-        "ibp": verify_ibp_2d,
-        "green": verify_green,
-        "green-rl": verify_green_rl_corollary,
-    }[args.identity]
-    report = fn(rule=rule, **inputs)
+    report = IDENTITY_CHECKS[_IDENTITY_KEY[args.identity]](rule=rule, **inputs)
     _emit(json.dumps(report.to_json_dict(), indent=2) + "\n", args.json_path)
     if args.tol is not None and report.rel_residual > args.tol:
         print(

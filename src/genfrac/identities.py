@@ -367,14 +367,15 @@ def verify_green_rl_corollary(
     return dataclasses.replace(report, identity="green_rl_corollary")
 
 
-def _verify_dispatch(identity: str, inputs: dict, rule: QuadratureRule) -> VerificationReport:
-    if identity == "ibp2d":
-        return verify_ibp_2d(rule=rule, **inputs)
-    if identity == "green":
-        return verify_green(rule=rule, **inputs)
-    if identity == "green_rl_corollary":
-        return verify_green_rl_corollary(rule=rule, **inputs)
-    raise ValueError(f"unknown identity {identity!r}")
+# The check of each identity, under the key its reports carry; used by
+# convergence_study and by `genfrac verify`.  Each entry looks its check
+# up when called, so that a wrapper put on this module's attribute (as
+# perfbench's tracer does) sees every call.
+IDENTITY_CHECKS = {
+    "ibp2d": lambda **inputs: verify_ibp_2d(**inputs),
+    "green": lambda **inputs: verify_green(**inputs),
+    "green_rl_corollary": lambda **inputs: verify_green_rl_corollary(**inputs),
+}
 
 
 def convergence_study(
@@ -389,7 +390,9 @@ def convergence_study(
     counts = [r.node_count for r in rules]
     if any(n2 <= n1 for n1, n2 in zip(counts, counts[1:])):
         raise ValueError(f"rule_sequence must strictly increase in node count, got {counts}")
-    return [_verify_dispatch(identity, inputs, r) for r in rules]
+    if identity not in IDENTITY_CHECKS:
+        raise ValueError(f"unknown identity {identity!r}")
+    return [IDENTITY_CHECKS[identity](rule=r, **inputs) for r in rules]
 
 
 def reports_to_csv(reports: list[VerificationReport]) -> str:

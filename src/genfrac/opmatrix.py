@@ -27,28 +27,20 @@ cannot corrupt a later check by writing into one.
 
 What an assembly needs of its mesh whatever the kernel is kept apart,
 per (p-set, rule), in a cache of its own (``_TABLES``), so that it
-never evicts a matrix or a moment.  It is bounded by its bytes too
-(``_TABLE_BYTES``, 32 MiB), and evicts through the same code.  A table
-holds the nodes in panels, their barycentric weights and span exponents,
-the :func:`~genfrac.quadrature.convolution_walk` of the nodes and the
-two ends (the pieces as a (pieces, 8) table, and the far groups), each
+never evicts a matrix or a moment; it is bounded by its bytes too
+(``_TABLE_BYTES``), and evicts through the same code.  A table holds
+the nodes in panels, their barycentric weights and span exponents, the
+:class:`~genfrac.quadrature.Walk` of the nodes and the two ends, each
 side's far interpolation matrix, and the interpolation terms of the
-walk's Gauss-Legendre near pieces with their sums.  A half's table takes
-1.28, 2.39 and 3.61 MB at 128, 256 and 512 nodes (6.0 MB at 1024); the
-terms are 1.21, 2.25 and 3.37 MB of that.  The 12 halves of a
-three-level study at 128, 256 and 512 nodes on a non-square rectangle
-take 29 MB, and fit.  The table refuses a mesh whose nodes round to
-equal values, which have no barycentric weight.
-
-So what is per mesh and what is per kernel: the points of the far
-panels and of the geometric Gauss-Legendre pieces (on the panels next
-to a target, and toward a) are the same for every kernel, and so are
-their interpolation terms.  The Gauss-Jacobi piece of each target has
-nodes that move with the kernel's singularity exponent sigma, so its
-terms are formed on each assembly.  A new kernel or order on a mesh
-then pays for the kernel values and weights of every piece, the
-Gauss-Jacobi terms, one multiply and sum per near piece, and the far
-products.
+walk's Gauss-Legendre near pieces (on the panels next to a target, and
+toward a) with their sums.  The walk alone says where a piece's points
+lie.  The Gauss-Jacobi piece of each target has nodes that move with
+the kernel's singularity exponent sigma, so a new kernel or order on a
+mesh pays for :func:`~genfrac.quadrature.convolution_rows` (the
+Gauss-Jacobi points, and the weights of every point), the Gauss-Jacobi
+terms, one multiply and sum per near piece, and the far products.  The
+table refuses a mesh whose nodes round to equal values, which have no
+barycentric weight.
 
 Assembly runs on the calling thread.  The convolution rule of
 :func:`genfrac.quadrature.convolution_walk` splits at the mesh's own
@@ -90,7 +82,6 @@ from .quadrature import (
     composite_nodes,
     convolution_rows,
     convolution_walk,
-    legendre_offsets,
 )
 from .specfun import Kernel
 
@@ -102,9 +93,10 @@ __all__ = ["kop_matrix", "kop_end_rows", "clear_matrix_cache"]
 _CACHE_BYTES = 128 * 2**20
 
 # Total bytes the kernel-free mesh tables (_table) keep, one per (p-set,
-# rule).  A convergence study on a rectangle uses two halves per axis
-# interval at each level: the 12 halves of 128, 256 and 512 nodes on a
-# non-square rectangle take 29 MB (27.8 MiB).
+# rule).  A half's table takes 1.28, 2.37 and 3.60 MB at 128, 256 and 512
+# nodes (6.0 MB at 1024).  A convergence study on a rectangle uses two
+# halves per axis interval at each level: the 12 halves of 128, 256 and
+# 512 nodes on a non-square rectangle take 29 MB (27.7 MiB).
 _TABLE_BYTES = 32 * 2**20
 
 # Pieces whose interpolation terms are formed at once.  A 512-node half
@@ -219,22 +211,13 @@ def _terms(diffs, bws):
     return terms, total
 
 
-def _interpolate(diffs, w, bws) -> np.ndarray:
-    """``w l_j`` at points whose differences to their panel's nodes are ``diffs``.
-
-    ``w`` broadcasts against the points; :func:`_terms` gives the rest.
-    """
-    terms, total = _terms(diffs, bws)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return terms * (w / total)[..., None]
-
-
 def _piece_rows(terms, total, w) -> np.ndarray:
     """``sum_i w_i l_j(x_i)``, one row per piece, from the :func:`_terms` of its points.
 
     ``terms`` is (pieces, points, nodes).  The products and their sum
-    over the points are those of ``_interpolate(...).sum(axis=1)``, in
-    the same order, without its (pieces, points, nodes) temporary.
+    over the points are those of ``(terms * c[..., None]).sum(axis=1)``
+    with ``c = w / total``, in the same order, without its (pieces,
+    points, nodes) temporary.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
         c = w / total
@@ -258,15 +241,26 @@ def _blocks(stop: int):
     return (slice(k, min(k + _BLOCK, stop)) for k in range(0, stop, _BLOCK))
 
 
+def _near_terms(walk, pieces: slice, offsets, panels, bws, exp):
+    """The :func:`_terms` of the walk's near ``pieces`` at ``offsets`` from their ends.
+
+    Formed a block of ``_BLOCK`` pieces at a time, in the pieces' order.
+    """
+    pans, ends = walk.pans[pieces], walk.ends[pieces]
+    terms, total = np.empty((*offsets.shape, panels.shape[1])), np.empty(offsets.shape)
+    for b in _blocks(pans.size):
+        p = pans[b]
+        diffs = _differences(ends[b], offsets[b], panels[p], exp[p, None])
+        terms[b], total[b] = _terms(diffs, bws[p])
+    return terms, total
+
+
 def _table(pset: ParameterSet, rule: QuadratureRule):
     """What :func:`_assemble` needs of the p-set's mesh whatever the kernel.
 
-    The panels of nodes, their barycentric weights and span exponents,
-    the :func:`~genfrac.quadrature.convolution_walk` of the nodes and the
-    two ends, each side's far interpolation matrix, and the
-    :func:`_terms` of the walk's Gauss-Legendre pieces with their totals.
-    Refuses a mesh whose nodes are not strictly increasing: equal nodes
-    have no barycentric weight.
+    The contents are those the module docstring lists.  Refuses a mesh
+    whose nodes are not strictly increasing: equal nodes have no
+    barycentric weight.
     """
     nodes, _, edges = composite_nodes(pset.a, pset.b, rule)
     if not (np.diff(nodes) > 0.0).all():
@@ -281,17 +275,10 @@ def _table(pset: ParameterSet, rule: QuadratureRule):
     walk = convolution_walk(pset, np.concatenate([nodes, [pset.a, pset.b]]), edges, rule)
     far = {}
     for side, (ends, offsets) in walk.far_points.items():
-        far[side] = _interpolate(_differences(ends, offsets, panels, exp[:, None]), 1.0, bws)
-    # the Gauss-Legendre pieces' points, as convolution_rows places them
-    _, pans, ends, _, lo, hi, sign, _ = walk.pieces[walk.jacobi :].T
-    pans = pans.astype(np.intp)
-    order = rule.order_per_panel
-    offsets = -sign[:, None] * legendre_offsets(lo, hi, order)[0]
-    terms, total = np.empty((pans.size, order, order)), np.empty((pans.size, order))
-    for b in _blocks(pans.size):
-        p = pans[b]
-        diffs = _differences(ends[b], offsets[b], panels[p], exp[p, None])
-        terms[b], total[b] = _terms(diffs, bws[p])
+        terms, total = _terms(_differences(ends, offsets, panels, exp[:, None]), bws)
+        far[side] = terms * (1.0 / total)[..., None]
+    legendre = walk.legendre(rule.order_per_panel)
+    terms, total = _near_terms(walk, slice(walk.jacobi, None), legendre, panels, bws, exp)
     return panels, bws, exp, walk, far, terms, total
 
 
@@ -299,25 +286,21 @@ def _assemble(pset: ParameterSet, kernel: Kernel, rule: QuadratureRule):
     """(mesh rows, end rows) of K_P on its composite mesh."""
     table = _TABLES.fetch((pset, rule), lambda: _table(pset, rule), _TABLE_BYTES)
     panels, bws, exp, walk, far, terms, total = table
-    K = convolution_rows(walk, kernel, rule)
+    offsets, w, far_w = convolution_rows(walk, kernel, walk.legendre(rule.order_per_panel))
     out = np.zeros((panels.size + 2, *panels.shape))
     # the far points of a panel are the same for every target: one
-    # product per block of targets that share their far panels
-    for side, rows, pans, w in K.far:
-        block = np.matmul(w.transpose(1, 0, 2), far[side][pans])
+    # product per group of targets that share their far panels
+    for (side, rows, pans), fw in zip(walk.far, far_w):
+        block = np.matmul(fw.transpose(1, 0, 2), far[side][pans])
         out[rows, pans] += block.transpose(1, 0, 2)
     # the near points one row per piece, in the pieces' order, since a
     # (row, panel) pair can have several.  The Gauss-Jacobi pieces come
-    # first; their points move with sigma, so their terms are formed here,
-    # a block at a time.  The Gauss-Legendre pieces' terms are the table's.
-    jacobi = walk.jacobi
-    for b in _blocks(jacobi):
-        pans = K.pans[b]
-        diffs = _differences(K.ends[b], K.offsets[b], panels[pans], exp[pans, None])
-        np.add.at(out, (K.rows[b], pans), _piece_rows(*_terms(diffs, bws[pans]), K.w[b]))
-    legendre = slice(jacobi, None)
-    near = _piece_rows(terms, total, K.w[legendre])
-    np.add.at(out, (K.rows[legendre], K.pans[legendre]), near)
+    # first; their points move with sigma, so their terms are formed here.
+    # The Gauss-Legendre pieces' terms are the table's.
+    j = walk.jacobi
+    jacobi = _piece_rows(*_near_terms(walk, slice(j), offsets, panels, bws, exp), w[:j])
+    legendre = _piece_rows(terms, total, w[j:])
+    np.add.at(out, (walk.rows, walk.pans), np.concatenate([jacobi, legendre]))
     M = out.reshape(panels.size + 2, -1)
     return M[: panels.size], M[panels.size :]
 

@@ -44,8 +44,9 @@ def real(v, what: str) -> float:
 
     Anything else raises ValueError naming ``what``.
     """
-    # float first: it answers at once, and the ABC check is several times slower
-    if not (isinstance(v, (float, numbers.Real)) and not isinstance(v, bool) and finite(v)):
+    if type(v) is float and math.isfinite(v):  # at once: the ABC check is several times slower
+        return v
+    if not (isinstance(v, numbers.Real) and not isinstance(v, bool) and finite(v)):
         raise ValueError(f"{what} must be a finite real, got {v!r}")
     return float(v)
 

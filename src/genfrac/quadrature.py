@@ -12,9 +12,11 @@ The convolution rule splits at the edges of the operand's own mesh, so
 one by one; the far points of a panel are the same for every target and
 go through one fixed interpolation matrix (product integration with
 local corrections: Kolm & Rokhlin 2001, Helsing & Ojala 2008).  The
-rule takes two steps: :func:`convolution_walk` lays out the pieces,
-which depend on the mesh and the targets alone, and
-:func:`convolution_rows` adds a kernel's nodes and weights to them.
+rule takes two steps.  :func:`convolution_walk` lays out the pieces,
+which depend on the mesh and the targets alone; its :class:`Walk` is the
+one description of them and places their Gauss-Legendre points.
+:func:`convolution_rows` adds what depends on the kernel: the
+Gauss-Jacobi points next to each target and the weights of every point.
 
 All rules use open (Gauss) nodes, so integrands are never sampled at
 panel edges, interval endpoints, or the rectangle boundary.  Every
@@ -260,67 +262,29 @@ def rectangle_mesh(rect: Rectangle, rule: QuadratureRule):
     return x, wx, y, wy
 
 
-def singular_nodes(kernel: Kernel, gaps, lo, hi, n: int, touching: int):
-    """Kernel-folded Gauss nodes on pieces of a convolution, in distances from its target.
+def singular_nodes(kernel: Kernel, walk: Walk, legendre: np.ndarray):
+    """Kernel-folded Gauss nodes on the near pieces of ``walk``.
 
-    Piece k covers the distances ``gaps[k] + [lo[k], hi[k]]``.  The first
-    ``touching`` pieces start at the target (gap and lo 0), and their
+    The first ``walk.jacobi`` pieces start at their target, and their
     Gauss-Jacobi weights absorb the kernel's power exactly; the others
-    take Gauss-Legendre.  Returns ``(o, w)``, each (pieces, n): offsets o
-    in [lo, hi] and weights w with
-    ``sum(w * phi(o)) ~ int_lo^hi kernel(gaps + o) phi(o) do``.  The
-    kernel's argument is the gap plus the offset, never a difference of
-    two rounded points.
+    take Gauss-Legendre at the offsets ``legendre = walk.legendre(n)``.
+    Returns ``(o, w)``, each (pieces, n): offsets o from the pieces' ends
+    and weights w with ``sum(w * phi(o)) ~ int kernel(|gaps + o|) phi(o) do``
+    over each piece.
     """
+    j, n = walk.jacobi, legendre.shape[1]
     sigma = kernel.singularity_exponent
     xj, wj = _jacobi_left(n, sigma)
-    o, half = legendre_offsets(lo, hi, n)
-    o[:touching] = half[:touching] * (1.0 + xj)
-    u = o + gaps[:, None]
+    half = walk.half[:, None]
+    o = np.concatenate([half[:j] * (1.0 + xj), legendre])
+    # gaps, offsets and half widths are signed; |.| gives lengths exactly
+    half = np.abs(half)
+    u = np.abs(o + walk.gaps[:, None])
     w = half * kernel.evaluate(u)
     # the Jacobi weight is (u / half)**-sigma; k u**sigma stays smooth
-    w[:touching] *= wj * (u[:touching] / half[:touching]) ** sigma
-    w[touching:] *= _leggauss(n)[1]
+    w[:j] *= wj * (u[:j] / half[:j]) ** sigma
+    w[j:] *= _leggauss(n)[1]
     return o, w
-
-
-def legendre_offsets(lo, hi, n: int):
-    """``(o, half)``: n Gauss-Legendre offsets in each piece [lo, hi], and its half width.
-
-    :func:`singular_nodes` places all but its touching pieces' points so;
-    they do not depend on the kernel.
-    """
-    half = (0.5 * (hi - lo))[:, None]
-    return lo[:, None] + half * (1.0 + _leggauss(n)[0]), half
-
-
-class Rows(NamedTuple):
-    """K_P at some targets, as :func:`convolution_rows` makes it.
-
-    The points near a target come in pieces of ``order_per_panel``
-    points: piece k lies in panel ``pans[k]`` and adds
-    ``sum(w[k] * f(tau[k]))`` to the row of target ``rows[k]``, where
-    ``tau = ends[:, None] + offsets``.  The offsets are exact to rounding
-    of their own size, so ``(ends - x) + offsets`` is the distance of a
-    point from a node x beside it to that accuracy too.  A (row, panel)
-    pair can have several pieces, in any order.
-
-    The far panels come in blocks ``(side, rows, pans, w)``, side 0 for
-    the leftward half and 1 for the rightward one: ``w`` (rows, panels,
-    far_order) holds the weights of each target in ``rows`` at the far
-    points of the panels of the slice ``pans``.  Those points are the
-    same for every target: with ``ends, offsets = far_points[side]``, the
-    points of panel j are ``ends[j] + offsets[j]``.  All weights hold p
-    or q.
-    """
-
-    rows: np.ndarray
-    pans: np.ndarray
-    ends: np.ndarray
-    offsets: np.ndarray
-    w: np.ndarray
-    far: list
-    far_points: dict
 
 
 @lru_cache(maxsize=None)
@@ -348,33 +312,55 @@ def _plan(rule: QuadratureRule):
     return sides, 0.5 * (1.0 + xg), 0.5 * wg
 
 
-def _toward_end(s: float):
-    """``(lo, hi)`` of the pieces that split [a, a + s] geometrically toward the end a.
-
-    The offsets are from a and below 0, as the points a + |o| of a half,
-    which lie at an end minus their offsets, need them.
-    """
-    cuts = [-s * _NEAR_RATIO**k for k in range(_END_DEPTH + 1)] + [0.0]
-    return list(zip(cuts, cuts[1:]))
-
-
 class Walk(NamedTuple):
-    """The kernel-free part of :class:`Rows`, as :func:`convolution_walk` makes it.
+    """K_P at some targets before the kernel, as :func:`convolution_walk` lays it out.
 
-    ``pieces`` has one row (row, panel, end, gap, lo, hi, sign, weight) per
-    near piece, in the order of :class:`Rows`; the first ``jacobi`` take
-    Gauss-Jacobi.  A far group ``(side, rows, pans)`` is a far block of
-    :class:`Rows` without its weights.  Those come from ``sides[side] =
-    (t, rights, off, far_w)``: the side's targets and panel right ends
+    The points near a target come in pieces of ``order_per_panel``
+    points, one entry per piece in each of the first seven fields.  Piece
+    k lies in panel ``pans[k]`` and adds to the row of target ``rows[k]``
+    with the weight p or q of its half (``weight[k]``).  Its points lie at
+    ``ends[k] + o`` for the offsets ``o = lo[k] + half[k] (1 + x)`` of a
+    rule's nodes x on [-1, 1], and its target at ``ends[k] - gaps[k]``, so
+    a point is ``|gaps + o|`` from it, never a difference of two rounded
+    points.  Gaps and half widths are negative on the leftward half,
+    whose points lie below their targets.  The offsets are exact to
+    rounding of their own size, so ``(ends - x) + o`` is the distance of a
+    point from a node x beside it to that accuracy too.  A (row, panel)
+    pair can have several pieces, in any order.  The first ``jacobi``
+    start at their target, which is their end (gap and lo 0), and take
+    Gauss-Jacobi, whose nodes move with the kernel (:func:`singular_nodes`);
+    the others take Gauss-Legendre, placed by :meth:`legendre`.
+
+    The far panels come in groups ``(side, rows, pans)``, side 0 for the
+    leftward half and 1 for the rightward one: the targets ``rows`` share
+    the far panels of the slice ``pans``, whose far points are the same
+    for every target.  With ``ends, offsets = far_points[side]``, the
+    points of panel j are ``ends[j] + offsets[j]``.  ``sides[side] = (t,
+    rights, off, far_w)`` holds the side's targets and panel right ends
     (both mirrored on side 1), the far points' offsets from those ends,
     and the far weights without the kernel.
     """
 
-    pieces: np.ndarray
+    rows: np.ndarray
+    pans: np.ndarray
+    ends: np.ndarray
+    gaps: np.ndarray
+    lo: np.ndarray
+    half: np.ndarray
+    weight: np.ndarray
     jacobi: int
     far: list
     sides: dict
     far_points: dict
+
+    def legendre(self, n: int) -> np.ndarray:
+        """The offsets of the Gauss-Legendre pieces' points, n to a piece, whatever the kernel."""
+        j = self.jacobi
+        return self.lo[j:, None] + self.half[j:, None] * (1.0 + _leggauss(n)[0])
+
+
+# A walk's piece: one field per column of Walk, its row and panel as indices.
+_PIECE = np.dtype([(f, np.intp if f in ("rows", "pans") else float) for f in Walk._fields[:7]])
 
 
 def convolution_walk(
@@ -409,6 +395,7 @@ def convolution_walk(
         if weight == 0.0:
             continue
         t, e, sign = (-targets, -edges[::-1], -1.0) if side else (targets, edges, 1.0)
+        out = -sign  # the point end - o of this side's walk is sign * end + out * o
         rights = e[1:]
         h = (rights - e[:-1])[:, None]
         off = h * point_unit  # the far points from their panel's right end
@@ -439,7 +426,7 @@ def convolution_walk(
                 x = ts[r]
                 d = x - es[J]
                 s = 0.0 if J else d * _NEAR_RATIO  # the width of the piece at a
-                jacobi.append((r, pan, sign * x, 0.0, 0.0, d - s, sign, weight))
+                jacobi.append((r, pan, sign * x, 0.0, 0.0, out * 0.5 * (d - s), weight))
                 # a near panel in geometric pieces toward its right end,
                 # down to one no wider than twice its gap
                 for j in range(m, J):
@@ -453,23 +440,31 @@ def convolution_walk(
                     for k in range(max(depth, 0) + 1):
                         lo = top * _NEAR_RATIO if k < depth else 0.0
                         if j or k:
-                            walk.append((r, p, sign * end, gap, lo, top, sign, weight))
+                            half = out * 0.5 * (top - lo)
+                            walk.append((r, p, sign * end, out * gap, out * lo, half, weight))
                         else:  # panel 0's first level is the piece at a
                             s = top - lo
                         top = lo
-                if s:  # split toward a, where the operand may be rough
-                    for lo, hi in _toward_end(s):
-                        at_a.append((r, first, sign * es[0], x - es[0], lo, hi, sign, weight))
+                if s:  # split [a, a + s] toward a, where the operand may be rough
+                    gap = out * (x - es[0])
+                    cuts = [-s * _NEAR_RATIO**k for k in range(_END_DEPTH + 1)] + [0.0]
+                    for lo, hi in zip(cuts, cuts[1:]):
+                        half = out * 0.5 * (hi - lo)
+                        at_a.append((r, first, sign * es[0], gap, out * lo, half, weight))
         near += at_a + walk
-    return Walk(np.array(jacobi + near).reshape(-1, 8), len(jacobi), far, sides, far_points)
+    pieces = np.array(jacobi + near, dtype=_PIECE)
+    return Walk(*map(pieces.__getitem__, _PIECE.names), len(jacobi), far, sides, far_points)
 
 
-def convolution_rows(walk: Walk, kernel: Kernel, rule: QuadratureRule) -> Rows:
-    """K_P as :class:`Rows` for ``kernel``, from the :func:`convolution_walk` on ``rule``.
+def convolution_rows(walk: Walk, kernel: Kernel, legendre: np.ndarray):
+    """What K_P needs of ``kernel`` on a :func:`convolution_walk`: ``(offsets, w, far)``.
 
-    Only the nodes and weights of the pieces are made here.  The far
-    distances are formed on each call and never kept, since they are
-    (targets, panels, far_order).
+    ``legendre`` is ``walk.legendre(n)``.  ``offsets`` places the points
+    of the Gauss-Jacobi pieces, ``w`` holds the weights of every near
+    piece's points, and ``far`` those of each far group at its panels'
+    far points, (rows, panels, far_order), in the walk's order.  All
+    weights hold p or q.  The far distances are formed on each call and
+    never kept, since they are (targets, panels, far_order).
     """
     far = []
     for side, rows, pans in walk.far:
@@ -477,41 +472,33 @@ def convolution_rows(walk: Walk, kernel: Kernel, rule: QuadratureRule) -> Rows:
         m = pans.stop - pans.start
         u = (t[rows, None] - rights[:m])[:, :, None] + off[:m]
         w = far_w[:m] * kernel.evaluate(u)
-        far.append((side, rows, pans, w[:, ::-1] if side else w))
-    rows, pans, ends, gaps, lo, hi, sign, weight = walk.pieces.T
-    o, w = singular_nodes(kernel, gaps, lo, hi, rule.order_per_panel, walk.jacobi)
-    return Rows(
-        rows.astype(np.intp),
-        pans.astype(np.intp),
-        ends,
-        -sign[:, None] * o,
-        weight[:, None] * w,
-        far,
-        walk.far_points,
-    )
+        far.append(w[:, ::-1] if side else w)
+    o, w = singular_nodes(kernel, walk, legendre)
+    return o[: walk.jacobi], walk.weight[:, None] * w, far
 
 
 def convolve(f: Callable, pset: ParameterSet, kernel: Kernel, targets, rule, *, message, suffix=""):
-    """K_P f at ``targets``, with f sampled at the points of :func:`convolution_rows`.
+    """K_P f at ``targets``, with f sampled at the points of :func:`convolution_walk`.
 
     The mesh is that of ``composite_nodes(pset.a, pset.b, rule)``.
     ``message`` and ``suffix`` go to :func:`sample`.
     """
     targets = np.asarray(targets, dtype=float)
     walk = convolution_walk(pset, targets, _mesh_edges(pset.a, pset.b, rule), rule)
-    K = convolution_rows(walk, kernel, rule)
-    near = (K.ends[:, None] + K.offsets).ravel()
-    # a far block's points once for all its targets, every point in one sample
+    legendre = walk.legendre(rule.order_per_panel)
+    jacobi, w, far_w = convolution_rows(walk, kernel, legendre)
+    near = (walk.ends[:, None] + np.concatenate([jacobi, legendre])).ravel()
+    # a far group's points once for all its targets, every point in one sample
     far = []
-    for side, _, pans, _ in K.far:
-        ends, offsets = K.far_points[side]
+    for side, _, pans in walk.far:
+        ends, offsets = walk.far_points[side]
         far.append((ends[pans][:, None] + offsets[pans]).ravel())
     vals = sample(f, np.concatenate([near, *far]), message=message, suffix=suffix)
-    rows = np.repeat(K.rows, K.w.shape[1])
-    out = np.bincount(rows, K.w.ravel() * vals[: near.size], minlength=targets.size)
+    rows = np.repeat(walk.rows, w.shape[1])
+    out = np.bincount(rows, w.ravel() * vals[: near.size], minlength=targets.size)
     start = near.size
-    for (_, r, _, w), tau in zip(K.far, far):
-        out[r] += w.reshape(r.size, -1) @ vals[start : start + tau.size]
+    for (_, r, _), fw, tau in zip(walk.far, far_w, far):
+        out[r] += fw.reshape(r.size, -1) @ vals[start : start + tau.size]
         start += tau.size
     return out
 

@@ -72,6 +72,9 @@ class Kernel:
     label: str
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "order_param", real(self.order_param, "order_param"))
+        sigma = real(self.singularity_exponent, "singularity_exponent")
+        object.__setattr__(self, "singularity_exponent", sigma)
         if not 0.0 < self.order_param <= 1.0:
             raise ValueError(
                 f"kernel order must lie in (0, 1], got {self.order_param!r}"
@@ -103,6 +106,7 @@ class KernelFamily:
     make: Callable[[float], Kernel]
 
     def instantiate(self, order: float) -> Kernel:
+        order = real(order, "alpha")
         if not 0.0 < order <= 1.0:
             raise ValueError(f"kernel order must lie in (0, 1], got {order!r}")
         return self.make(order)
@@ -111,12 +115,13 @@ class KernelFamily:
 def _power_kernel(alpha: float, lam: float, label: str) -> Kernel:
     """x**(alpha-1) e^(-lam x)/gamma(alpha) on (0, L]; lam = 0 leaves it undamped.
 
-    ``alpha`` is any real number but a bool, and is stored as a float.
+    ``alpha`` and ``lam`` are any real numbers but bools, and are stored
+    as floats; ``label`` is formatted with ``lam``.
     """
-    alpha = real(alpha, "alpha")
+    alpha, lam = real(alpha, "alpha"), real(lam, "tempering rate")
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha!r}")
-    if lam < 0.0 or not math.isfinite(lam):
+    if lam < 0.0:
         raise ValueError(f"tempering rate must be finite and >= 0, got {lam!r}")
     # gamma(1) is exactly 1; keep the order-1 kernel exactly constant
     c = 1.0 if alpha == 1.0 else 1.0 / gamma(alpha)
@@ -130,7 +135,7 @@ def _power_kernel(alpha: float, lam: float, label: str) -> Kernel:
         order_param=alpha,
         evaluate=evaluate,
         singularity_exponent=1.0 - alpha,
-        label=label,
+        label=label.format(lam=lam),
     )
 
 
@@ -143,7 +148,7 @@ def rl_kernel(alpha: float) -> Kernel:
 
 def tempered_kernel(alpha: float, lam: float) -> Kernel:
     """Exponentially tempered power kernel x**(alpha-1) e^(-lam x)/gamma(alpha)."""
-    return _power_kernel(alpha, lam, f"tempered(lam={float(lam)!r})")
+    return _power_kernel(alpha, lam, "tempered(lam={lam!r})")
 
 
 def rl_family() -> KernelFamily:
@@ -151,6 +156,7 @@ def rl_family() -> KernelFamily:
 
 
 def tempered_family(lam: float) -> KernelFamily:
+    lam = real(lam, "tempering rate")
     return KernelFamily(
         label=f"tempered(lam={format_number(lam)})",
         make=lambda order: tempered_kernel(order, lam),

@@ -340,6 +340,26 @@ def test_convergence_study_rejects_nonincreasing():
         convergence_study("stokes", inputs, [QuadratureRule(panels=8)])
 
 
+def test_each_identity_check_reports_under_its_key():
+    # genfrac verify and convergence_study read one table of checks; each
+    # check's report carries the key it is filed under, and the study's
+    # reports are those of the check at each rule
+    rule = QuadratureRule(panels=4)
+    common = {"f": e2("t1+t2"), "g": e2("t1*t2"), "alpha": 0.5, "rect": RECT}
+    inputs = {
+        "ibp2d": {**common, "eta1": e2("t1^2"), "eta2": e2("t2^2"),
+                  "p1": LEFT1, "p2": LEFT1, "kernel": RL},
+        "green": {**common, "eta": e2("1+t1^2"), "p1": LEFT1, "p2": LEFT1, "kernel": RL},
+        "green_rl_corollary": {**common, "eta": e2("1+t1^2")},
+    }
+    assert set(identities.IDENTITY_CHECKS) == set(inputs)
+    for key, check in identities.IDENTITY_CHECKS.items():
+        report = check(rule=rule, **inputs[key])
+        assert report.identity == key
+        (study,) = convergence_study(key, inputs[key], [rule])
+        assert study.to_json_dict() == report.to_json_dict()
+
+
 def test_a_numpy_order_gives_a_report_that_serializes():
     # a float32 order used to reach the report as is, and json refused it
     specs = (e2("t1+t2"), e2("t1*t2"), e2("1+t1^2"))

@@ -7,6 +7,7 @@ import pytest
 
 from genfrac.quadrature import QuadratureRule, integrate_singular
 from genfrac.specfun import (
+    Kernel,
     euler_oracle,
     gamma,
     kernel_family_from_label,
@@ -90,6 +91,32 @@ def test_kernel_order_is_a_real_number_stored_as_float():
     for k in (rl_kernel(np.float32(0.5)), tempered_kernel(np.float64(0.5), 1.0)):
         assert type(k.order_param) is float and k.order_param == 0.5
         assert type(k.singularity_exponent) is float
+
+
+def test_kernel_parameters_refuse_non_reals_with_value_error():
+    # a text order or rate used to raise TypeError, or a format error in
+    # tempered_family, and a Kernel built directly kept a bool or a float32
+    with pytest.raises(ValueError, match="alpha must be a finite real"):
+        rl_family().instantiate("0.5")
+    for bad in ("1", None, True, np.bool_(False), float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="tempering rate must be a finite real"):
+            tempered_kernel(0.5, bad)
+        with pytest.raises(ValueError, match="tempering rate must be a finite real"):
+            tempered_family(bad)
+    evaluate = rl_kernel(0.5).evaluate
+    for name in ("order_param", "singularity_exponent"):
+        for bad in (True, "0.5", None):
+            fields = {"order_param": 0.5, "singularity_exponent": 0.5, name: bad}
+            with pytest.raises(ValueError, match=f"{name} must be a finite real"):
+                Kernel(evaluate=evaluate, label="k", **fields)
+    k = Kernel(np.float32(0.5), evaluate, np.float32(0.5), "k")
+    assert type(k.order_param) is float and type(k.singularity_exponent) is float
+    assert k.cache_key == ("k", 0.5, 0.5)
+    # the built-in kernels keep their labels and cache keys
+    assert tempered_family(1).label == "tempered(lam=1)"
+    assert tempered_family(1).instantiate(0.5).cache_key == ("tempered(lam=1.0)", 0.5, 0.5)
+    assert tempered_kernel(0.25, np.float64(2)).cache_key == ("tempered(lam=2.0)", 0.25, 0.75)
+    assert rl_family().instantiate(np.float32(0.25)).cache_key == ("rl", 0.25, 0.75)
 
 
 @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])

@@ -36,14 +36,20 @@ _k(m, 1-alpha) L^(m+1-alpha), and 0 at a.  The identity holds for each
 half exactly, so rhs_area is lhs - boundary again.
 
 Under the tempered kernel k(u) = u^(alpha-1) e^(-lam u) / Gamma(alpha)
-the IBP terms with left p-sets still factor.  Each axis term
-int_0^L x^m (K x^c)(x) dx equals int_0^L k(u) int_u^L x^m (x-u)^c dx du;
-for integer m the inner integral is a binomial sum of powers of u and
-L-u, and mpmath's quadrature takes the outer one.
+the IBP terms still factor.  Each axis term int_0^L x^m (K x^c)(x) dx
+equals int_0^L k(u) int_u^L x^m (x-u)^c dx du; for integer m the inner
+integral is a binomial sum of powers of u and L-u, for integer c one of
+powers of u and differences of powers of L and u, and mpmath's
+quadrature takes the outer one.  Right and mixed p-sets follow as under
+the power kernel, since neither move depends on the kernel: right terms
+keep the left values on mirrored operands, and a mixed term is p times
+its left value plus q times the left value with u and v swapped, whose
+integer exponent is then c.
 
-Still open: the tempered kernel beyond IBP with left p-sets.
+Still open: the tempered kernel under Green.
 """
 
+from functools import lru_cache
 from math import gamma
 
 import pytest
@@ -76,6 +82,9 @@ TEMPERED_IBP_TOL = IBP_TOL
 # Green with mixed p-sets, fixed before its first run: the bounds of the
 # left and right p-sets.
 MIXED_GREEN_TOL = GREEN_TOL
+# Tempered IBP with right and mixed p-sets, fixed before their first run:
+# the power kernel's bounds again.
+TEMPERED_RIGHT_IBP_TOL = TEMPERED_MIXED_IBP_TOL = IBP_TOL
 LAM = 1.0
 
 
@@ -124,15 +133,21 @@ def _ibp_lhs(alpha, p=1.0, q=0.0):
     return lhs + _power_integral(3, L1) * axis2
 
 
+@lru_cache(maxsize=None)
 def _tempered_term(alpha, lam, m, c, L):
-    """int_0^L x^m (K x^c)(x) dx under the tempered kernel, for an integer m >= 0."""
+    """int_0^L x^m (K x^c)(x) dx under the tempered kernel, for an integer m or c >= 0."""
     mp = pytest.importorskip("mpmath")
     with mp.workdps(30):
         a, L = mp.mpf(alpha), mp.mpf(L)
 
-        def inner(u):  # int_u^L x^m (x-u)^c dx, with x^m = sum_j C(m,j) u^(m-j) (x-u)^j
-            terms = (mp.binomial(m, j) * u ** (m - j) * (L - u) ** (c + j + 1) / (c + j + 1)
-                     for j in range(m + 1))
+        def inner(u):  # int_u^L x^m (x-u)^c dx
+            if float(m).is_integer():  # x^m = sum_j C(m,j) u^(m-j) (x-u)^j
+                terms = (mp.binomial(m, j) * u ** (m - j) * (L - u) ** (c + j + 1) / (c + j + 1)
+                         for j in range(int(m) + 1))
+            else:  # (x-u)^c = sum_j C(c,j) (-u)^(c-j) x^j
+                terms = (mp.binomial(c, j) * (-u) ** (c - j)
+                         * (L ** (m + j + 1) - u ** (m + j + 1)) / (m + j + 1)
+                         for j in range(int(c) + 1))
             return mp.fsum(terms)
 
         # u = s^(1/alpha) absorbs u^(alpha-1) du into ds / alpha: tanh-sinh on
@@ -144,10 +159,15 @@ def _tempered_term(alpha, lam, m, c, L):
         return float(mp.quad(outer, [0, L**a]) / mp.gamma(a + 1))
 
 
-def _tempered_ibp_lhs(alpha, lam):
-    # axis 1: g = x^2 y against eta1 = x^1.5 y^2; axis 2: f = x y^2 against eta2 = x^2 y^2.5
-    axis1 = _tempered_term(alpha, lam, 2, 1.5, L1) * _power_integral(3, L2)
-    axis2 = _power_integral(3, L1) * _tempered_term(alpha, lam, 2, 2.5, L2)
+def _tempered_ibp_lhs(alpha, lam, p=1.0, q=0.0):
+    # axis 1: g = x^2 y against eta1 = x^1.5 y^2; axis 2: f = x y^2 against
+    # eta2 = x^2 y^2.5.  The right half of each swaps the operands.
+    def axis(m, c, L):
+        right = q * _tempered_term(alpha, lam, c, m, L) if q else 0.0
+        return p * _tempered_term(alpha, lam, m, c, L) + right
+
+    axis1 = axis(2, 1.5, L1) * _power_integral(3, L2)
+    axis2 = _power_integral(3, L1) * axis(2, 2.5, L2)
     return axis1 + axis2
 
 
@@ -234,4 +254,24 @@ def test_tempered_ibp_terms_match_the_quadrature_oracle(alpha):
     operands = map(e2, IBP_OPERANDS)
     report = verify_ibp_2d(*operands, alpha, *LEFT, tempered_family(LAM), RECT, RULE)
     _assert_terms(report, {"lhs": lhs, "rhs_area": lhs}, TEMPERED_IBP_TOL)
+    assert report.rhs_boundary == 0.0
+
+
+@pytest.mark.parametrize("alpha", ALPHAS)
+def test_right_tempered_ibp_terms_match_the_left_oracle(alpha):
+    lhs = _tempered_ibp_lhs(alpha, LAM)
+    operands = map(e2_mirrored, IBP_OPERANDS)
+    report = verify_ibp_2d(*operands, alpha, *RIGHT, tempered_family(LAM), RECT, RULE)
+    _assert_terms(report, {"lhs": lhs, "rhs_area": lhs}, TEMPERED_RIGHT_IBP_TOL)
+    assert report.rhs_boundary == 0.0
+
+
+@pytest.mark.parametrize("weights", [(0.5, 0.5), (0.3, 0.7), (1.5, -0.25)])
+@pytest.mark.parametrize("alpha", ALPHAS)
+def test_mixed_tempered_ibp_terms_match_the_quadrature_oracle(alpha, weights):
+    lhs = _tempered_ibp_lhs(alpha, LAM, *weights)
+    psets = (ParameterSet(*RECT.axis1, *weights), ParameterSet(*RECT.axis2, *weights))
+    operands = map(e2, IBP_OPERANDS)
+    report = verify_ibp_2d(*operands, alpha, *psets, tempered_family(LAM), RECT, RULE)
+    _assert_terms(report, {"lhs": lhs, "rhs_area": lhs}, TEMPERED_MIXED_IBP_TOL)
     assert report.rhs_boundary == 0.0
