@@ -26,43 +26,50 @@ bytes (``_CACHE_BYTES``).  Cached arrays are read-only, so a caller
 cannot corrupt a later check by writing into one.
 
 What an assembly needs of its mesh whatever the kernel is kept apart,
-per (p-set, rule), in a cache of its own (``_TABLES``), so that it
-never evicts a matrix or a moment; it is bounded by its bytes too
-(``_TABLE_BYTES``), and evicts through the same code.  A table holds
-the nodes in panels, their barycentric weights and span exponents, the
-:class:`~genfrac.quadrature.Walk` of the nodes and the two ends, each
-side's far interpolation matrix, and the interpolation terms of the
+per (p-set, rule), in a cache of its own (``_TABLES``), so that it never
+evicts a matrix or a moment; it is bounded by its bytes too
+(``_TABLE_BYTES``), and evicts through the same code.  A table holds the
+nodes in panels, their barycentric weights and span exponents, the
+:class:`~genfrac.quadrature.Walk` of the targets a, the nodes and b (in
+that order, so that the targets sharing far panels are a run of rows),
+each side's far interpolation matrix, the interpolation terms of the
 walk's Gauss-Legendre near pieces (on the panels next to a target, and
-toward a) with their sums.  The walk alone says where a piece's points
-lie.  The Gauss-Jacobi piece of each target has nodes that move with
-the kernel's singularity exponent sigma, so a new kernel or order on a
-mesh pays for :func:`~genfrac.quadrature.convolution_rows` (the
-Gauss-Jacobi points, and the weights of every point), the Gauss-Jacobi
-terms, one multiply and sum per near piece, and the far products.  The
-table refuses a mesh whose nodes round to equal values, which have no
-barycentric weight.
+toward a) with their sums, pieces last, as (points, nodes, pieces) and
+(points, pieces), and the scatter rounds of every piece.  The walk alone
+says where a piece's points lie.  The Gauss-Jacobi piece of each target
+has nodes that move with the kernel's singularity exponent sigma, so a
+new kernel or order on a mesh pays for
+:func:`~genfrac.quadrature.convolution_rows` (the Gauss-Jacobi points,
+and the weights of every point), the Gauss-Jacobi terms, one multiply
+and sum per near piece, and the far products.  The table refuses a mesh
+whose nodes round to equal values, which have no barycentric weight.
 
 Assembly runs on the calling thread.  The convolution rule of
 :func:`genfrac.quadrature.convolution_walk` splits at the mesh's own
 panel edges.  A far panel's points are the same for every target, so
 they go through one fixed interpolation matrix per panel, and the far
-field of all the targets in one panel is one matrix product.  The points
-near a target (its Gauss-Jacobi piece and the geometric pieces of the
-panels next to it and of the end panel) go through the second form:
-the terms b_j / (t - x_j) and their sum (:func:`_terms`), then one
-multiply by w / sum, which folds the quadrature weight w into the
-normaliser, summed over the piece's points.  Each t - x_j is taken as
-(end - x_j) + offset from the rule's local offsets, so its rounding is
-that of a panel, not of |a|.  A point exactly on a node, whose sum is
-infinite, gets the term 1 at that node, 0 elsewhere and the sum 1, so
-that all its weight goes to that node; a row that is non-finite for any
-other reason stays so.  Terms are formed a block of ``_BLOCK`` pieces
-at a time.  One unbuffered add (``np.add.at``) puts each piece into its
-(row, panel) slot of the matrix, in the pieces' order, since a slot can
-have several pieces.  The barycentric weights b_j come from node
-differences scaled by a power of two near the panel's span, and the
-differences t - x_j are scaled by the same power, so the weights, the
-terms and their sum stay finite on intervals of any width.
+field of all the targets in one panel is one matrix product, written in
+place into the matrix.  The points near a target (its Gauss-Jacobi piece
+and the geometric pieces of the panels next to it and of the end panel)
+go through the second form: the terms b_j / (t - x_j) and their sum
+(:func:`_terms`), then one multiply by w / sum, which folds the
+quadrature weight w into the normaliser, summed over the piece's points.
+Each t - x_j is taken as (end - x_j) + offset from the rule's local
+offsets, so its rounding is that of a panel, not of |a|.  A point
+exactly on a node, whose sum is infinite, gets the term 1 at that node,
+0 elsewhere and the sum 1, so that all its weight goes to that node; a
+row that is non-finite for any other reason stays so.  Terms are formed,
+and summed over the nodes, a block of ``_BLOCK`` pieces at a time, and
+laid out pieces last, so that the sum over a piece's points runs along
+all the pieces at once.  A (row, panel) slot of the matrix can have
+several pieces, which must be added in the walk's order.  The table
+groups the pieces into rounds, round k holding the k-th piece of every
+slot, so that no slot repeats within a round: one buffered add per round
+(9 on [0, 1]) puts every piece into its slot, in that order.  The
+barycentric weights b_j come from node differences scaled by a power of
+two near the panel's span, and the differences t - x_j are scaled by the
+same power, so the weights, the terms and their sum stay finite on
+intervals of any width.
 
 For polynomial operands of degree below the panel order the interpolation
 is exact; for the smooth test corpus its error is far below quadrature
@@ -73,12 +80,14 @@ same accuracy, which the test suite checks explicitly.
 from __future__ import annotations
 
 from collections import OrderedDict
+from typing import NamedTuple
 
 import numpy as np
 
 from .pset import ParameterSet
 from .quadrature import (
     QuadratureRule,
+    Walk,
     composite_nodes,
     convolution_rows,
     convolution_walk,
@@ -93,10 +102,11 @@ __all__ = ["kop_matrix", "kop_end_rows", "clear_matrix_cache"]
 _CACHE_BYTES = 128 * 2**20
 
 # Total bytes the kernel-free mesh tables (_table) keep, one per (p-set,
-# rule).  A half's table takes 1.28, 2.37 and 3.60 MB at 128, 256 and 512
-# nodes (6.0 MB at 1024).  A convergence study on a rectangle uses two
-# halves per axis interval at each level: the 12 halves of 128, 256 and
-# 512 nodes on a non-square rectangle take 29 MB (27.7 MiB).
+# rule).  A half's table takes 1.29, 2.40 and 3.63 MB at 128, 256 and 512
+# nodes (6.0 MB at 1024), 11, 21 and 33 KB of it the scatter rounds.  A
+# convergence study on a rectangle uses two halves per axis interval at
+# each level: the 12 halves of 128, 256 and 512 nodes on a non-square
+# rectangle take 29 MB (27.9 MiB).
 _TABLE_BYTES = 32 * 2**20
 
 # Pieces whose interpolation terms are formed at once.  A 512-node half
@@ -211,20 +221,21 @@ def _terms(diffs, bws):
     return terms, total
 
 
-def _piece_rows(terms, total, w) -> np.ndarray:
-    """``sum_i w_i l_j(x_i)``, one row per piece, from the :func:`_terms` of its points.
+def _piece_rows(terms, total, w, rows) -> None:
+    """Write each piece's ``sum_i w_i l_j(x_i)`` into ``rows``, from its points' :func:`_terms`.
 
-    ``terms`` is (pieces, points, nodes).  The products and their sum
-    over the points are those of ``(terms * c[..., None]).sum(axis=1)``
-    with ``c = w / total``, in the same order, without its (pieces,
-    points, nodes) temporary.
+    ``terms`` is (points, nodes, pieces), ``total`` and ``w`` are
+    (points, pieces) and ``rows`` is (nodes, pieces).  The products and
+    their sum over the points are those of ``(terms * c[:, None]).sum(axis=0)``
+    with ``c = w / total``, in the same order, without its (points,
+    nodes, pieces) temporary.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
         c = w / total
-        rows = terms[:, 0] * c[:, :1]
-        for i in range(1, c.shape[1]):
-            rows += terms[:, i] * c[:, i : i + 1]
-    return rows
+        np.multiply(terms[0], c[0], out=rows)
+        step = np.empty_like(rows)
+        for i in range(1, c.shape[0]):
+            rows += np.multiply(terms[i], c[i], out=step)
 
 
 def _differences(ends, offsets, nodes, exp) -> np.ndarray:
@@ -244,18 +255,54 @@ def _blocks(stop: int):
 def _near_terms(walk, pieces: slice, offsets, panels, bws, exp):
     """The :func:`_terms` of the walk's near ``pieces`` at ``offsets`` from their ends.
 
-    Formed a block of ``_BLOCK`` pieces at a time, in the pieces' order.
+    Returns them pieces last: terms (points, nodes, pieces) and sums
+    (points, pieces).  They are formed, and summed over the nodes, a block
+    of ``_BLOCK`` pieces at a time, in the pieces' order, and each block
+    is written straight into that layout.
     """
     pans, ends = walk.pans[pieces], walk.ends[pieces]
-    terms, total = np.empty((*offsets.shape, panels.shape[1])), np.empty(offsets.shape)
+    terms = np.empty((offsets.shape[1], panels.shape[1], pans.size))
+    total = np.empty((offsets.shape[1], pans.size))
     for b in _blocks(pans.size):
         p = pans[b]
         diffs = _differences(ends[b], offsets[b], panels[p], exp[p, None])
-        terms[b], total[b] = _terms(diffs, bws[p])
+        t, s = _terms(diffs, bws[p])
+        terms[..., b], total[:, b] = t.transpose(1, 2, 0), s.T
     return terms, total
 
 
-def _table(pset: ParameterSet, rule: QuadratureRule):
+def _rounds(walk: Walk, panels: int) -> list:
+    """The walk's pieces grouped for a buffered scatter, as ``(slots, pieces)`` per round.
+
+    A piece's slot is ``row * panels + pan``.  Round k holds the k-th
+    piece of every slot that has that many, in the walk's order, so no
+    slot repeats within a round, and adding the rounds one after the
+    other adds each slot's pieces in the walk's order.
+    """
+    slots = walk.rows * panels + walk.pans
+    order = np.argsort(slots, kind="stable")
+    s = slots[order]
+    first = np.flatnonzero(np.diff(s, prepend=-1))  # each slot's first place in s
+    rank = np.empty_like(order)
+    rank[order] = np.arange(s.size) - np.repeat(first, np.diff(first, append=s.size))
+    pieces = (np.flatnonzero(rank == k) for k in range(rank.max(initial=-1) + 1))
+    return [(slots[k], k) for k in pieces]
+
+
+class _Table(NamedTuple):
+    """What :func:`_assemble` needs of a p-set's mesh whatever the kernel (:func:`_table`)."""
+
+    panels: np.ndarray  # the nodes, (panels, order)
+    bws: np.ndarray  # their barycentric weights, (panels, 1, order)
+    exp: np.ndarray  # per panel, the scale of its node differences, as in _bary_weights
+    walk: Walk  # the pieces at the targets a, the nodes, b
+    far: dict  # side -> its far interpolation matrix, (panels, far points, order)
+    terms: np.ndarray  # the Gauss-Legendre near pieces' terms, (points, nodes, pieces)
+    total: np.ndarray  # their sums over the nodes, (points, pieces)
+    rounds: list  # every piece's slot in the matrix, in the scatter rounds of _rounds
+
+
+def _table(pset: ParameterSet, rule: QuadratureRule) -> _Table:
     """What :func:`_assemble` needs of the p-set's mesh whatever the kernel.
 
     The contents are those the module docstring lists.  Refuses a mesh
@@ -272,37 +319,46 @@ def _table(pset: ParameterSet, rule: QuadratureRule):
     bws = _bary_weights(panels)[:, None, :]
     # the node differences in the units that _bary_weights scales by
     exp = -np.frexp(panels[:, -1] - panels[:, 0])[1]
-    walk = convolution_walk(pset, np.concatenate([nodes, [pset.a, pset.b]]), edges, rule)
+    # the targets ascend, so the targets of a far group are a run of rows
+    walk = convolution_walk(pset, np.concatenate([[pset.a], nodes, [pset.b]]), edges, rule)
     far = {}
     for side, (ends, offsets) in walk.far_points.items():
         terms, total = _terms(_differences(ends, offsets, panels, exp[:, None]), bws)
         far[side] = terms * (1.0 / total)[..., None]
     legendre = walk.legendre(rule.order_per_panel)
     terms, total = _near_terms(walk, slice(walk.jacobi, None), legendre, panels, bws, exp)
-    return panels, bws, exp, walk, far, terms, total
+    return _Table(panels, bws, exp, walk, far, terms, total, _rounds(walk, panels.shape[0]))
 
 
 def _assemble(pset: ParameterSet, kernel: Kernel, rule: QuadratureRule):
     """(mesh rows, end rows) of K_P on its composite mesh."""
     table = _TABLES.fetch((pset, rule), lambda: _table(pset, rule), _TABLE_BYTES)
-    panels, bws, exp, walk, far, terms, total = table
-    offsets, w, far_w = convolution_rows(walk, kernel, walk.legendre(rule.order_per_panel))
+    panels, walk = table.panels, table.walk
+    order = rule.order_per_panel
+    offsets, w, far_w = convolution_rows(walk, kernel, walk.legendre(order))
     out = np.zeros((panels.size + 2, *panels.shape))
     # the far points of a panel are the same for every target: one
-    # product per group of targets that share their far panels
+    # product per group of targets that share their far panels, written
+    # in place, since a group's rows are a run and no other group or
+    # piece adds to its slots first
     for (side, rows, pans), fw in zip(walk.far, far_w):
-        block = np.matmul(fw.transpose(1, 0, 2), far[side][pans])
-        out[rows, pans] += block.transpose(1, 0, 2)
-    # the near points one row per piece, in the pieces' order, since a
-    # (row, panel) pair can have several.  The Gauss-Jacobi pieces come
-    # first; their points move with sigma, so their terms are formed here.
-    # The Gauss-Legendre pieces' terms are the table's.
+        block = out[rows[0] : rows[-1] + 1, pans].transpose(1, 0, 2)
+        np.matmul(fw.transpose(1, 0, 2), table.far[side][pans], out=block)
+    # the near points one row per piece, pieces last.  The Gauss-Jacobi
+    # pieces come first; their points move with sigma, so their terms are
+    # formed here.  The Gauss-Legendre pieces' terms are the table's.
     j = walk.jacobi
-    jacobi = _piece_rows(*_near_terms(walk, slice(j), offsets, panels, bws, exp), w[:j])
-    legendre = _piece_rows(terms, total, w[j:])
-    np.add.at(out, (walk.rows, walk.pans), np.concatenate([jacobi, legendre]))
+    vals = np.empty((order, w.shape[0]))
+    jacobi = _near_terms(walk, slice(j), offsets, panels, table.bws, table.exp)
+    _piece_rows(*jacobi, w[:j].T, vals[:, :j])
+    _piece_rows(table.terms, table.total, w[j:].T, vals[:, j:])
+    # each (row, panel) slot gets its pieces in the walk's order, one
+    # round at a time
+    flat, vals = out.reshape(-1, order), vals.T
+    for slots, pieces in table.rounds:
+        flat[slots] += vals[pieces]
     M = out.reshape(panels.size + 2, -1)
-    return M[: panels.size], M[panels.size :]
+    return M[1:-1], M[[0, -1]]
 
 
 def _matrices(pset: ParameterSet, kernel: Kernel, rule: QuadratureRule):

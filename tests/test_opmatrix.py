@@ -231,11 +231,11 @@ def test_every_kernel_on_a_mesh_reuses_its_table(monkeypatch):
             clear_matrix_cache()
             warm = [_pair(P, kernels[0], rule)]
             (key,) = opmatrix._TABLES
-            _, _, _, table_walk, _, _, total = opmatrix._TABLES[key][0]
-            assert (total == 1.0).any() == (a == -1.0)
+            table = opmatrix._TABLES[key][0]
+            assert (table.total == 1.0).any() == (a == -1.0)
             rows.clear()
             warm.append(_pair(P, kernels[1], rule))
-            assert sum(rows) == table_walk.jacobi
+            assert sum(rows) == table.walk.jacobi
             assert len(walks) == 1 and list(opmatrix._TABLES) == [key]
             for k, pair in zip(kernels, warm):
                 clear_matrix_cache()
@@ -244,6 +244,40 @@ def test_every_kernel_on_a_mesh_reuses_its_table(monkeypatch):
                     np.testing.assert_array_equal(got, want)
             walks.clear()
     clear_matrix_cache()
+
+
+@pytest.mark.parametrize(
+    "rule",
+    [QuadratureRule(16, 8), QuadratureRule(16, 32), QuadratureRule(8, 5), QuadratureRule(4, 1)],
+    ids=lambda r: f"{r.order_per_panel}x{r.panels}",
+)
+@pytest.mark.parametrize("interval", [(0.0, 1.0), (-1.0, 2.0), (5.0, 5.01)])
+def test_scatter_rounds_keep_the_walk_order(rule, interval):
+    # the table's rounds add each (row, panel) slot's pieces in the walk's
+    # order, as np.add.at does, with no slot twice in a round; on values
+    # of mixed magnitudes, where the order of the sum shows in the bits,
+    # the two agree and the rounds reversed do not
+    rng = np.random.default_rng(20)
+    for P in (standard_left(*interval), standard_right(*interval)):
+        table = opmatrix._table(P, rule)
+        slots = table.walk.rows * table.panels.shape[0] + table.walk.pans
+        pieces = np.concatenate([k for _, k in table.rounds])
+        np.testing.assert_array_equal(np.sort(pieces), np.arange(slots.size))
+        for s, k in table.rounds:
+            np.testing.assert_array_equal(s, slots[k])
+            assert np.unique(s).size == s.size
+        # each slot's pieces, in the order the rounds add them
+        order = pieces[np.argsort(slots[pieces], kind="stable")]
+        same = slots[order[1:]] == slots[order[:-1]]
+        assert (order[1:][same] > order[:-1][same]).all()
+        vals = rng.choice([1.0, 1e-16, -1.0, 3e-17], size=(slots.size, 4))
+        want = np.zeros((slots.max() + 1, 4))
+        np.add.at(want, slots, vals)
+        for rounds, equal in ((table.rounds, True), (table.rounds[::-1], False)):
+            got = np.zeros_like(want)
+            for s, k in rounds:
+                got[s] += vals[k]
+            assert (got.tobytes() == want.tobytes()) == equal
 
 
 def test_the_mesh_tables_stay_within_their_byte_bound(monkeypatch):

@@ -1,0 +1,102 @@
+"""Time the assembly of one operator half on a warm mesh table, REV against the working tree.
+
+Usage, from anywhere in a checkout::
+
+    python tools/halftime.py [REV]
+
+The files of REV (default ``HEAD``) are exported with ``git archive``
+into a temporary directory.  Child processes of REV's tree and of the
+working tree then run in turn, alternating which goes first, each with
+``OPENBLAS_NUM_THREADS=1``.  A child builds the mesh tables of both
+halves of [0, 1] at 128, 256 and 512 nodes (16-point panels), then
+times ``opmatrix._assemble`` for a fresh order on each, the
+Riemann-Liouville and the tempered kernel in turn.  What a new order on
+a known mesh costs is what a convergence sweep pays per half.
+
+Prints, per node count, the median time of one half on each tree and
+the working tree's over REV's.  Nothing is left on disk.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+ROUNDS = 6  # child processes per tree
+ORDERS = 20  # fresh orders per half and node count in each child
+NODES = (128, 256, 512)
+
+# Run in each tree's child: prints {nodes: [seconds per half, ...]} as JSON.
+CHILD = r'''
+import json
+import sys
+import time
+
+import numpy as np
+
+from genfrac import opmatrix
+from genfrac.pset import standard_left, standard_right
+from genfrac.quadrature import QuadratureRule
+from genfrac.specfun import rl_family, tempered_family
+
+orders, seed, nodes = int(sys.argv[1]), int(sys.argv[2]), json.loads(sys.argv[3])
+rng = np.random.default_rng(seed)
+families = [rl_family(), tempered_family(1.0)]
+halves = [standard_left(0.0, 1.0), standard_right(0.0, 1.0)]
+times = {}
+for n in nodes:
+    rule = QuadratureRule(16, n // 16)
+    for P in halves:  # warm the tables, and the code paths, with one order each
+        opmatrix._assemble(P, families[0].instantiate(0.5), rule)
+    times[n] = []
+    for i in range(orders):
+        for P in halves:
+            kernel = families[i % 2].instantiate(float(rng.uniform(0.05, 0.95)))
+            start = time.perf_counter()
+            opmatrix._assemble(P, kernel, rule)
+            times[n].append(time.perf_counter() - start)
+print(json.dumps(times))
+'''
+
+
+def _times(tree: Path, seed: int) -> dict:
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(tree / "src"))
+    out = subprocess.run(
+        [sys.executable, "-c", CHILD, str(ORDERS), str(seed), json.dumps(NODES)],
+        cwd=tree, env=env, capture_output=True, text=True, check=True,
+    ).stdout
+    return json.loads(out)
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) > 1:
+        sys.exit("usage: python tools/halftime.py [REV]")
+    rev = argv[0] if argv else "HEAD"
+    samples = {"rev": {n: [] for n in NODES}, "work": {n: [] for n in NODES}}
+    with tempfile.TemporaryDirectory() as tmp:
+        tree = Path(tmp)
+        archive = subprocess.run(
+            ["git", "archive", rev], cwd=ROOT, capture_output=True, check=True
+        ).stdout
+        subprocess.run(["tar", "-x", "-C", str(tree)], input=archive, check=True)
+        for r in range(ROUNDS):
+            # both trees draw the same orders in a round; odd rounds run REV first
+            sides = [("rev", tree), ("work", ROOT)]
+            for name, path in sides if r % 2 else sides[::-1]:
+                for n, ts in _times(path, r).items():
+                    samples[name][int(n)].extend(ts)
+    print(f"one half on a warm table, median of {ROUNDS * ORDERS * 2} (ms): {rev} -> working tree")
+    for n in NODES:
+        old, new = (statistics.median(samples[s][n]) * 1e3 for s in ("rev", "work"))
+        print(f"{n:4d} nodes: {old:7.3f} -> {new:7.3f}  ({new / old:.3f} of {rev})")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
