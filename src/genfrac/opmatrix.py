@@ -31,18 +31,20 @@ evicts a matrix or a moment; it is bounded by its bytes too
 (``_TABLE_BYTES``), and evicts through the same code.  A table holds the
 nodes in panels, their barycentric weights and span exponents, the
 :class:`~genfrac.quadrature.Walk` of the targets a, the nodes and b (in
-that order, so that the targets sharing far panels are a run of rows),
-each side's far interpolation matrix, the interpolation terms of the
-walk's Gauss-Legendre near pieces (on the panels next to a target, and
-toward a) with their sums, pieces last, as (points, nodes, pieces) and
-(points, pieces), and the scatter rounds of every piece.  The walk alone
-says where a piece's points lie.  The Gauss-Jacobi piece of each target
-has nodes that move with the kernel's singularity exponent sigma, so a
-new kernel or order on a mesh pays for
-:func:`~genfrac.quadrature.convolution_rows` (the Gauss-Jacobi points,
-and the weights of every point), the Gauss-Jacobi terms, one multiply
-and sum per near piece, and the far products.  The table refuses a mesh
-whose nodes round to equal values, which have no barycentric weight.
+that order, so that the targets sharing far panels are a run of rows)
+on the interval's kept :class:`~genfrac.quadrature.Mesh`, each side's
+far interpolation matrix, the interpolation terms of the walk's
+Gauss-Legendre near pieces (on the panels next to a target, and toward
+a) with their sums, pieces last, as (points, nodes, pieces) and (points,
+pieces), and the scatter rounds of every piece.  The walk alone says
+where a piece's points lie, and places the Gauss-Legendre ones once for
+every kernel.  The Gauss-Jacobi piece of each target has nodes that
+move with the kernel's singularity exponent sigma, so a new kernel or
+order on a mesh pays for :func:`~genfrac.quadrature.convolution_rows`
+(the Gauss-Jacobi points, and the weights of every point), the
+Gauss-Jacobi terms, one multiply and sum per near piece, and the far
+products.  The table refuses a mesh whose nodes round to equal values,
+which have no barycentric weight.
 
 Assembly runs on the calling thread.  The convolution rule of
 :func:`genfrac.quadrature.convolution_walk` splits at the mesh's own
@@ -86,11 +88,7 @@ import numpy as np
 
 from .pset import ParameterSet
 from .quadrature import (
-    QuadratureRule,
-    Walk,
-    composite_nodes,
-    convolution_rows,
-    convolution_walk,
+    Mesh, QuadratureRule, Walk, composite_nodes, convolution_rows, convolution_walk
 )
 from .specfun import Kernel
 
@@ -102,11 +100,12 @@ __all__ = ["kop_matrix", "kop_end_rows", "clear_matrix_cache"]
 _CACHE_BYTES = 128 * 2**20
 
 # Total bytes the kernel-free mesh tables (_table) keep, one per (p-set,
-# rule).  A half's table takes 1.29, 2.40 and 3.63 MB at 128, 256 and 512
-# nodes (6.0 MB at 1024), 11, 21 and 33 KB of it the scatter rounds.  A
-# convergence study on a rectangle uses two halves per axis interval at
-# each level: the 12 halves of 128, 256 and 512 nodes on a non-square
-# rectangle take 29 MB (27.9 MiB).
+# rule).  A half's table takes 1.35, 2.52 and 3.81 MB at 128, 256 and 512
+# nodes (6.3 MB at 1024): 11, 21 and 33 KB of it the scatter rounds, 71,
+# 132 and 198 KB the walk's Gauss-Legendre offsets.  A convergence study
+# on a rectangle uses two halves per axis interval at each level: the 12
+# halves of 128, 256 and 512 nodes on a non-square rectangle take 30.7 MB
+# (29.3 MiB).
 _TABLE_BYTES = 32 * 2**20
 
 # Pieces whose interpolation terms are formed at once.  A 512-node half
@@ -151,20 +150,19 @@ _TABLES = _Lru()  # the kernel-free mesh tables of _table
 
 
 def _seal(value) -> int:
-    """Make the arrays in ``value``, and in its tuples, lists and dicts, read-only.
+    """Make the arrays in ``value``, and in its tuples and lists, read-only.
 
     Returns their bytes, each array counted by its own ``nbytes``.
     """
     if isinstance(value, np.ndarray):
         value.flags.writeable = False
         return value.nbytes
-    if isinstance(value, dict):
-        value = list(value.values())
     return sum(map(_seal, value)) if isinstance(value, (tuple, list)) else 0
 
 
 def clear_matrix_cache() -> None:
-    """Empty the shared cache (operator matrices and moments) and the mesh tables."""
+    """Empty the shared cache (operator matrices and moments), the mesh tables and the meshes."""
+    Mesh.of.cache_clear()
     _TABLES.clear()
     _CACHE.clear()
 
@@ -296,7 +294,7 @@ class _Table(NamedTuple):
     bws: np.ndarray  # their barycentric weights, (panels, 1, order)
     exp: np.ndarray  # per panel, the scale of its node differences, as in _bary_weights
     walk: Walk  # the pieces at the targets a, the nodes, b
-    far: dict  # side -> its far interpolation matrix, (panels, far points, order)
+    far: list  # per side, its far interpolation matrix, (panels, far points, order), or None
     terms: np.ndarray  # the Gauss-Legendre near pieces' terms, (points, nodes, pieces)
     total: np.ndarray  # their sums over the nodes, (points, pieces)
     rounds: list  # every piece's slot in the matrix, in the scatter rounds of _rounds
@@ -309,24 +307,24 @@ def _table(pset: ParameterSet, rule: QuadratureRule) -> _Table:
     whose nodes are not strictly increasing: equal nodes have no
     barycentric weight.
     """
-    nodes, _, edges = composite_nodes(pset.a, pset.b, rule)
+    nodes, _, _ = composite_nodes(pset.a, pset.b, rule)
     if not (np.diff(nodes) > 0.0).all():
         raise ValueError(
             f"{rule} on [{pset.a!r}, {pset.b!r}] has nodes that round to equal "
             f"values: its end panels are too narrow for the floats there"
         )
-    panels = nodes.reshape(edges.size - 1, rule.order_per_panel)
+    panels = nodes.reshape(rule.panels, rule.order_per_panel)
     bws = _bary_weights(panels)[:, None, :]
     # the node differences in the units that _bary_weights scales by
     exp = -np.frexp(panels[:, -1] - panels[:, 0])[1]
     # the targets ascend, so the targets of a far group are a run of rows
-    walk = convolution_walk(pset, np.concatenate([[pset.a], nodes, [pset.b]]), edges, rule)
-    far = {}
-    for side, (ends, offsets) in walk.far_points.items():
-        terms, total = _terms(_differences(ends, offsets, panels, exp[:, None]), bws)
+    mesh = Mesh.of(pset.a, pset.b, rule)
+    walk = convolution_walk(pset, np.concatenate([[pset.a], nodes, [pset.b]]), mesh)
+    far = [None, None]  # a side without far panels needs none
+    for side in {side for side, *_ in walk.far}:
+        terms, total = _terms(_differences(*mesh.far[side], panels, exp[:, None]), bws)
         far[side] = terms * (1.0 / total)[..., None]
-    legendre = walk.legendre(rule.order_per_panel)
-    terms, total = _near_terms(walk, slice(walk.jacobi, None), legendre, panels, bws, exp)
+    terms, total = _near_terms(walk, slice(walk.jacobi, None), walk.legendre, panels, bws, exp)
     return _Table(panels, bws, exp, walk, far, terms, total, _rounds(walk, panels.shape[0]))
 
 
@@ -335,13 +333,13 @@ def _assemble(pset: ParameterSet, kernel: Kernel, rule: QuadratureRule):
     table = _TABLES.fetch((pset, rule), lambda: _table(pset, rule), _TABLE_BYTES)
     panels, walk = table.panels, table.walk
     order = rule.order_per_panel
-    offsets, w, far_w = convolution_rows(walk, kernel, walk.legendre(order))
+    offsets, w, far_w = convolution_rows(walk, kernel)
     out = np.zeros((panels.size + 2, *panels.shape))
     # the far points of a panel are the same for every target: one
     # product per group of targets that share their far panels, written
     # in place, since a group's rows are a run and no other group or
     # piece adds to its slots first
-    for (side, rows, pans), fw in zip(walk.far, far_w):
+    for (side, rows, pans, _), fw in zip(walk.far, far_w):
         block = out[rows[0] : rows[-1] + 1, pans].transpose(1, 0, 2)
         np.matmul(fw.transpose(1, 0, 2), table.far[side][pans], out=block)
     # the near points one row per piece, pieces last.  The Gauss-Jacobi

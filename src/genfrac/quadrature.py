@@ -12,11 +12,14 @@ The convolution rule splits at the edges of the operand's own mesh, so
 one by one; the far points of a panel are the same for every target and
 go through one fixed interpolation matrix (product integration with
 local corrections: Kolm & Rokhlin 2001, Helsing & Ojala 2008).  The
-rule takes two steps.  :func:`convolution_walk` lays out the pieces,
-which depend on the mesh and the targets alone; its :class:`Walk` is the
-one description of them and places their Gauss-Legendre points.
-:func:`convolution_rows` adds what depends on the kernel: the
-Gauss-Jacobi points next to each target and the weights of every point.
+rule takes three steps.  A :class:`Mesh`, kept per (interval, rule),
+holds what depends on neither targets nor kernel: the edges, the far
+panels of each panel, the far points and their weights.
+:func:`convolution_walk` lays out the pieces near each target on a mesh;
+its :class:`Walk` is the one description of them and places their
+Gauss-Legendre points.  :func:`convolution_rows` adds what depends on
+the kernel: the Gauss-Jacobi points next to each target and the weights
+of every point.
 
 All rules use open (Gauss) nodes, so integrands are never sampled at
 panel edges, interval endpoints, or the rectangle boundary.  Every
@@ -37,11 +40,12 @@ from typing import Callable, NamedTuple
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .pset import ParameterSet, finite
+from .pset import ParameterSet, finite, real
 from .specfun import Kernel
 
 __all__ = [
     "QuadratureRule",
+    "Mesh",
     "Rectangle",
     "NonFiniteSampleError",
     "DEFAULT_RULE",
@@ -68,9 +72,9 @@ _LOG_RATIO = -math.log(_NEAR_RATIO)
 # piece, 0.037 with 5 and 0.011 with 9.
 _END_DEPTH = 4
 
-# Entries kept by the caches keyed on the singularity exponent.  Every
-# fresh order alpha is a new key, so a sweep over alpha would otherwise
-# grow them without limit.
+# Entries kept by the caches keyed on a float the caller picks: the
+# singularity exponent, or an interval.  Every fresh order alpha is a new
+# key, so a sweep over alpha would otherwise grow them without limit.
 _SIGMA_CACHE_SIZE = 128
 
 
@@ -149,17 +153,16 @@ DEFAULT_RULE = QuadratureRule()
 
 @dataclass(frozen=True)
 class Rectangle:
+    """[a1, b1] x [a2, b2]; each endpoint any real number but a bool, stored as a float."""
+
     a1: float
     b1: float
     a2: float
     b2: float
 
     def __post_init__(self) -> None:
-        if not all(map(finite, (self.a1, self.b1, self.a2, self.b2))):
-            raise ValueError(
-                f"rectangle endpoints must be finite, got "
-                f"[{self.a1}, {self.b1}] x [{self.a2}, {self.b2}]"
-            )
+        for name in ("a1", "b1", "a2", "b2"):
+            object.__setattr__(self, name, real(getattr(self, name), f"rectangle endpoint {name}"))
         if not (self.a1 < self.b1 and self.a2 < self.b2):
             raise ValueError(
                 f"degenerate rectangle [{self.a1}, {self.b1}] x [{self.a2}, {self.b2}]"
@@ -230,29 +233,16 @@ def _composite_unit(order: int, panels: int, strength: float):
     return (mids[:, None] + half[:, None] * xg).ravel(), (half[:, None] * wg).ravel(), edges
 
 
-def _mesh_edges(lo: float, hi: float, rule: QuadratureRule) -> np.ndarray:
-    """The panel edges of ``composite_nodes(lo, hi, rule)``, alone.
-
-    The ends are lo and hi themselves: lo + (hi - lo) can round to either
-    side of hi, and a convolution at a target on hi must find it on the
-    last edge.
-    """
-    _, _, edges = _composite_unit(rule.order_per_panel, rule.panels, rule.grading_strength)
-    out = lo + (hi - lo) * edges
-    out[-1] = hi
-    return out
-
-
 def composite_nodes(lo: float, hi: float, rule: QuadratureRule):
     """Composite Gauss-Legendre mesh on [lo, hi] for product integrals.
 
     Returns ``(nodes, weights, edges)``.  Panels are graded toward both
-    endpoints at ``rule.grading_strength``; the edges run from lo to hi
-    exactly.
+    endpoints at ``rule.grading_strength``; the edges, those of the
+    :class:`Mesh`, run from lo to hi exactly.
     """
     x, w, _ = _composite_unit(rule.order_per_panel, rule.panels, rule.grading_strength)
     L = hi - lo
-    return lo + L * x, L * w, _mesh_edges(lo, hi, rule)
+    return lo + L * x, L * w, Mesh.of(lo, hi, rule).edges
 
 
 def rectangle_mesh(rect: Rectangle, rule: QuadratureRule):
@@ -262,21 +252,21 @@ def rectangle_mesh(rect: Rectangle, rule: QuadratureRule):
     return x, wx, y, wy
 
 
-def singular_nodes(kernel: Kernel, walk: Walk, legendre: np.ndarray):
+def singular_nodes(kernel: Kernel, walk: Walk):
     """Kernel-folded Gauss nodes on the near pieces of ``walk``.
 
     The first ``walk.jacobi`` pieces start at their target, and their
     Gauss-Jacobi weights absorb the kernel's power exactly; the others
-    take Gauss-Legendre at the offsets ``legendre = walk.legendre(n)``.
-    Returns ``(o, w)``, each (pieces, n): offsets o from the pieces' ends
-    and weights w with ``sum(w * phi(o)) ~ int kernel(|gaps + o|) phi(o) do``
+    take Gauss-Legendre at the offsets ``walk.legendre``.  Returns
+    ``(o, w)``, each (pieces, n): offsets o from the pieces' ends and
+    weights w with ``sum(w * phi(o)) ~ int kernel(|gaps + o|) phi(o) do``
     over each piece.
     """
-    j, n = walk.jacobi, legendre.shape[1]
+    j, n = walk.jacobi, walk.legendre.shape[1]
     sigma = kernel.singularity_exponent
     xj, wj = _jacobi_left(n, sigma)
     half = walk.half[:, None]
-    o = np.concatenate([half[:j] * (1.0 + xj), legendre])
+    o = np.concatenate([half[:j] * (1.0 + xj), walk.legendre])
     # gaps, offsets and half widths are signed; |.| gives lengths exactly
     half = np.abs(half)
     u = np.abs(o + walk.gaps[:, None])
@@ -287,39 +277,63 @@ def singular_nodes(kernel: Kernel, walk: Walk, legendre: np.ndarray):
     return o, w
 
 
-@lru_cache(maxsize=None)
-def _plan(rule: QuadratureRule):
-    """What the convolutions on a mesh of ``rule`` need of it, whatever its interval.
+class Mesh(NamedTuple):
+    """What every convolution on a rule's mesh of [lo, hi] needs, whatever its targets and kernel.
 
-    For a target of the leftward half in panel J, the panels below the
-    first j < J that ends less than half its width before e_J are far;
-    that one and the rest up to J are near.  Decided on the rule's unit
-    mesh, per side, the rightward one in the panel numbering of the
-    mirrored mesh.  Returns the two sides' far counts m_J, and the far
-    points' offsets from their panel's right end and their weights, both
-    per unit width.
+    ``edges`` are the panel edges of ``composite_nodes(lo, hi, rule)``;
+    the ends are lo and hi themselves, as lo + (hi - lo) can round to
+    either side of hi and a target on hi must find it on the last edge.
+    Side 0 is the leftward half, side 1 the rightward one, which walks the
+    mirrored mesh.  ``frames[side]`` holds the side's edges as floats
+    (negated and reversed on side 1), and ``counts[side]`` per panel J in
+    the side's numbering its far panels m_J: those below the first j < J
+    that ends less than half its width before e_J, decided on the rule's
+    unit mesh so that every interval agrees.  With ``ends, offsets =
+    far[side]``, the ``far_order`` far points of panel j are ``ends[j] +
+    offsets[j]``, in the mesh's own order and coordinates: back from the
+    panel's right end on side 0, on from its left end on side 1.  Their
+    weights are the panel ``widths`` times ``far_weights``, which a p-set
+    weight scales first.  The arrays are read-only.
     """
-    _, _, unit = _composite_unit(rule.order_per_panel, rule.panels, rule.grading_strength)
-    sides = []
-    for e in (unit, -unit[::-1]):
-        h = np.diff(e)
-        counts = []
-        for J in range(h.size):
-            near = e[J] - e[1 : J + 1] < 0.5 * h[:J]
-            counts.append(int(near.argmax()) if near.any() else J)
-        sides.append(counts)
-    xg, wg = _leggauss(rule.far_order)
-    return sides, 0.5 * (1.0 + xg), 0.5 * wg
+
+    rule: QuadratureRule
+    edges: np.ndarray
+    frames: tuple
+    counts: tuple
+    far: tuple
+    widths: np.ndarray
+    far_weights: np.ndarray
+
+    @staticmethod
+    @lru_cache(maxsize=_SIGMA_CACHE_SIZE)
+    def of(lo: float, hi: float, rule: QuadratureRule) -> Mesh:
+        """The mesh of ``rule`` on [lo, hi], built on the first call and kept."""
+        _, _, unit = _composite_unit(rule.order_per_panel, rule.panels, rule.grading_strength)
+        edges = lo + (hi - lo) * unit
+        edges[-1] = hi
+        widths = np.diff(edges)[:, None]
+        xg, wg = _leggauss(rule.far_order)
+        off = widths * (0.5 * (1.0 + xg))  # the far points' distances from their panel's end
+        arrays = edges, widths, -off, off, 0.5 * wg
+        for x in arrays:
+            x.flags.writeable = False
+        far = ((edges[1:], arrays[2]), (edges[:-1], off))  # views of read-only edges
+        frames, counts = (tuple(edges.tolist()), tuple((-edges[::-1]).tolist())), []
+        for e in (unit, -unit[::-1]):
+            near = np.tril(e[:-1, None] - e[1:] < 0.5 * np.diff(e), -1)  # [J, j]: j is near J
+            m = np.where(near.any(1), near.argmax(1), np.arange(e.size - 1))
+            counts.append(tuple(m.tolist()))
+        return Mesh(rule, edges, frames, tuple(counts), far, widths, arrays[4])
 
 
 class Walk(NamedTuple):
     """K_P at some targets before the kernel, as :func:`convolution_walk` lays it out.
 
     The points near a target come in pieces of ``order_per_panel``
-    points, one entry per piece in each of the first seven fields.  Piece
+    points, one entry per piece in each of the first six fields.  Piece
     k lies in panel ``pans[k]`` and adds to the row of target ``rows[k]``
     with the weight p or q of its half (``weight[k]``).  Its points lie at
-    ``ends[k] + o`` for the offsets ``o = lo[k] + half[k] (1 + x)`` of a
+    ``ends[k] + o`` for the offsets ``o = lo + half[k] (1 + x)`` of a
     rule's nodes x on [-1, 1], and its target at ``ends[k] - gaps[k]``, so
     a point is ``|gaps + o|`` from it, never a difference of two rounded
     points.  Gaps and half widths are negative on the leftward half,
@@ -329,79 +343,66 @@ class Walk(NamedTuple):
     pair can have several pieces, in any order.  The first ``jacobi``
     start at their target, which is their end (gap and lo 0), and take
     Gauss-Jacobi, whose nodes move with the kernel (:func:`singular_nodes`);
-    the others take Gauss-Legendre, placed by :meth:`legendre`.
+    the others take Gauss-Legendre, whose offsets, whatever the kernel,
+    are ``legendre``, (pieces, order_per_panel).
 
-    The far panels come in groups ``(side, rows, pans)``, side 0 for the
-    leftward half and 1 for the rightward one: the targets ``rows`` share
-    the far panels of the slice ``pans``, whose far points are the same
-    for every target.  With ``ends, offsets = far_points[side]``, the
-    points of panel j are ``ends[j] + offsets[j]``.  ``sides[side] = (t,
-    rights, off, far_w)`` holds the side's targets and panel right ends
-    (both mirrored on side 1), the far points' offsets from those ends,
-    and the far weights without the kernel.
+    The far panels come in groups ``(side, rows, pans, weight)``, side 0
+    for the leftward half and 1 for the rightward one: the targets
+    ``rows`` of ``targets`` share the far panels of the slice ``pans``,
+    whose points (``mesh.far[side]``) are the same for every target, and
+    ``weight`` is the half's p or q.
     """
 
     rows: np.ndarray
     pans: np.ndarray
     ends: np.ndarray
     gaps: np.ndarray
-    lo: np.ndarray
     half: np.ndarray
     weight: np.ndarray
     jacobi: int
+    legendre: np.ndarray
     far: list
-    sides: dict
-    far_points: dict
-
-    def legendre(self, n: int) -> np.ndarray:
-        """The offsets of the Gauss-Legendre pieces' points, n to a piece, whatever the kernel."""
-        j = self.jacobi
-        return self.lo[j:, None] + self.half[j:, None] * (1.0 + _leggauss(n)[0])
+    targets: np.ndarray
+    mesh: Mesh
 
 
-# A walk's piece: one field per column of Walk, its row and panel as indices.
-_PIECE = np.dtype([(f, np.intp if f in ("rows", "pans") else float) for f in Walk._fields[:7]])
+# A walk's piece: one field per column of Walk, and lo, which only places
+# the Gauss-Legendre points.
+_PIECE = np.dtype([("rows", np.intp), ("pans", np.intp), ("ends", float), ("gaps", float),
+                   ("lo", float), ("half", float), ("weight", float)])
 
 
-def convolution_walk(
-    pset: ParameterSet, targets: np.ndarray, edges: np.ndarray, rule: QuadratureRule
-) -> Walk:
-    """The pieces of K_P at ``targets`` in [a, b] on the mesh of ``edges``, before the kernel.
+def convolution_walk(pset: ParameterSet, targets: np.ndarray, mesh: Mesh) -> Walk:
+    """The pieces of K_P at ``targets`` in [a, b] on ``mesh``, that of [a, b], before the kernel.
 
-    ``edges`` are the panel edges of the mesh of [a, b] that
-    :func:`composite_nodes` gives for ``rule``.  For a target t in panel
-    J, the leftward half splits [a, t] at the edges.  A panel that ends at
-    least half its width before e_J is far: one Gauss-Legendre piece of
-    ``rule.far_order`` points, the same for every target in J.  The part
-    of panel J below t takes Gauss-Jacobi.  A nearer panel is split
-    geometrically toward its end at t, at ratio ``_NEAR_RATIO``, into
-    Gauss-Legendre pieces.  The piece at a, where the operand may be
-    rough, is split geometrically toward a as well, into ``_END_DEPTH`` + 1
-    Gauss-Legendre pieces; in the first panel Gauss-Jacobi takes only
-    [a + r (t - a), t] at that ratio r.  The rightward half is the
-    leftward one of the mirrored targets and mesh.  None of it depends on
-    the kernel, so a walk serves every kernel on its mesh.
+    For a target t in panel J, the leftward half splits [a, t] at the
+    mesh's edges.  A panel that ends at least half its width before e_J
+    is far: one Gauss-Legendre piece of ``rule.far_order`` points, the
+    same for every target in J.  The part of panel J below t takes
+    Gauss-Jacobi.  A nearer panel is split geometrically toward its end
+    at t, at ratio ``_NEAR_RATIO``, into Gauss-Legendre pieces.  The piece
+    at a, where the operand may be rough, is split geometrically toward a
+    as well, into ``_END_DEPTH`` + 1 Gauss-Legendre pieces; in the first
+    panel Gauss-Jacobi takes only [a + r (t - a), t] at that ratio r.  The
+    rightward half is the leftward one of the mirrored targets and mesh.
+    None of it depends on the kernel, so a walk serves every kernel on its
+    mesh.  A mesh of another interval than [a, b] raises ValueError.
 
     A target less than the smallest normal double past an inner edge
     goes to the panel below that edge, and one that close to a (but not
     on it) raises ValueError: its Gauss-Jacobi piece would underflow.
     """
-    if edges.size != rule.panels + 1:
-        raise ValueError(f"{edges.size} edges for a rule of {rule.panels} panels")
-    last = rule.panels - 1
-    plan, point_unit, weight_unit = _plan(rule)
-    jacobi, near, far, sides, far_points = [], [], [], {}, {}
+    span = mesh.frames[0][0], mesh.frames[0][-1]
+    if span != (pset.a, pset.b):
+        raise ValueError(f"a mesh of {list(span)} for a p-set on [{pset.a!r}, {pset.b!r}]")
+    last = mesh.rule.panels - 1
+    jacobi, near, far = [], [], []
     for side, weight in enumerate((pset.p, pset.q)):
         if weight == 0.0:
             continue
-        t, e, sign = (-targets, -edges[::-1], -1.0) if side else (targets, edges, 1.0)
+        sign = -1.0 if side else 1.0
         out = -sign  # the point end - o of this side's walk is sign * end + out * o
-        rights = e[1:]
-        h = (rights - e[:-1])[:, None]
-        off = h * point_unit  # the far points from their panel's right end
-        sides[side] = (t, rights, off, h * (weight * weight_unit))
-        far_points[side] = (edges[:-1], off[::-1]) if side else (rights, -off)
-        es, ts = e.tolist(), t.tolist()
+        es, ts = mesh.frames[side], (-targets if side else targets).tolist()
         groups = {}  # panel J -> the targets in (e_J, e_(J+1)]; none at a, whose integral is empty
         for r, x in enumerate(ts):
             J = min(bisect_left(es, x), last + 1) - 1
@@ -417,10 +418,10 @@ def convolution_walk(
         # per target, its pieces at a go before the rest of its walk
         at_a, walk = [], []
         for J, rs in groups.items():
-            m = plan[side][J]
+            m = mesh.counts[side][J]
             if m:  # the far panels in the mesh's own order
                 pans = slice(last + 1 - m, last + 1) if side else slice(0, m)
-                far.append((side, np.array(rs), pans))
+                far.append((side, np.array(rs), pans, weight))
             pan, first = (last - J, last) if side else (J, 0)
             for r in rs:
                 x = ts[r]
@@ -453,51 +454,51 @@ def convolution_walk(
                         at_a.append((r, first, sign * es[0], gap, out * lo, half, weight))
         near += at_a + walk
     pieces = np.array(jacobi + near, dtype=_PIECE)
-    return Walk(*map(pieces.__getitem__, _PIECE.names), len(jacobi), far, sides, far_points)
+    j, x = len(jacobi), _leggauss(mesh.rule.order_per_panel)[0]  # x: the nodes on [-1, 1]
+    legendre = pieces["lo"][j:, None] + pieces["half"][j:, None] * (1.0 + x)
+    return Walk(*map(pieces.__getitem__, Walk._fields[:6]), j, legendre, far, targets, mesh)
 
 
-def convolution_rows(walk: Walk, kernel: Kernel, legendre: np.ndarray):
+def convolution_rows(walk: Walk, kernel: Kernel):
     """What K_P needs of ``kernel`` on a :func:`convolution_walk`: ``(offsets, w, far)``.
 
-    ``legendre`` is ``walk.legendre(n)``.  ``offsets`` places the points
-    of the Gauss-Jacobi pieces, ``w`` holds the weights of every near
-    piece's points, and ``far`` those of each far group at its panels'
-    far points, (rows, panels, far_order), in the walk's order.  All
-    weights hold p or q.  The far distances are formed on each call and
-    never kept, since they are (targets, panels, far_order).
+    ``offsets`` places the points of the Gauss-Jacobi pieces, ``w`` holds
+    the weights of every near piece's points, and ``far`` those of each
+    far group at its panels' far points, (rows, panels, far_order), in the
+    walk's order.  All weights hold p or q.  The far distances are formed
+    on each call and never kept: they are (targets, panels, far_order).
     """
-    far = []
-    for side, rows, pans in walk.far:
-        t, rights, off, far_w = walk.sides[side]
-        m = pans.stop - pans.start
-        u = (t[rows, None] - rights[:m])[:, :, None] + off[:m]
-        w = far_w[:m] * kernel.evaluate(u)
-        far.append(w[:, ::-1] if side else w)
-    o, w = singular_nodes(kernel, walk, legendre)
+    mesh, far = walk.mesh, []
+    for side, rows, pans, weight in walk.far:
+        ends, offsets = mesh.far[side]
+        # |t - (end + offset)|, taken as (t - end) - offset
+        u = np.abs((walk.targets[rows, None] - ends[pans])[:, :, None] - offsets[pans])
+        far.append(mesh.widths[pans] * (weight * mesh.far_weights) * kernel.evaluate(u))
+    o, w = singular_nodes(kernel, walk)
     return o[: walk.jacobi], walk.weight[:, None] * w, far
 
 
 def convolve(f: Callable, pset: ParameterSet, kernel: Kernel, targets, rule, *, message, suffix=""):
     """K_P f at ``targets``, with f sampled at the points of :func:`convolution_walk`.
 
-    The mesh is that of ``composite_nodes(pset.a, pset.b, rule)``.
-    ``message`` and ``suffix`` go to :func:`sample`.
+    The mesh is that of ``composite_nodes(pset.a, pset.b, rule)``, kept
+    for the next call on [a, b].  ``message`` and ``suffix`` go to
+    :func:`sample`.
     """
     targets = np.asarray(targets, dtype=float)
-    walk = convolution_walk(pset, targets, _mesh_edges(pset.a, pset.b, rule), rule)
-    legendre = walk.legendre(rule.order_per_panel)
-    jacobi, w, far_w = convolution_rows(walk, kernel, legendre)
-    near = (walk.ends[:, None] + np.concatenate([jacobi, legendre])).ravel()
+    walk = convolution_walk(pset, targets, Mesh.of(pset.a, pset.b, rule))
+    jacobi, w, far_w = convolution_rows(walk, kernel)
+    near = (walk.ends[:, None] + np.concatenate([jacobi, walk.legendre])).ravel()
     # a far group's points once for all its targets, every point in one sample
     far = []
-    for side, _, pans in walk.far:
-        ends, offsets = walk.far_points[side]
+    for side, _, pans, _ in walk.far:
+        ends, offsets = walk.mesh.far[side]
         far.append((ends[pans][:, None] + offsets[pans]).ravel())
     vals = sample(f, np.concatenate([near, *far]), message=message, suffix=suffix)
     rows = np.repeat(walk.rows, w.shape[1])
     out = np.bincount(rows, w.ravel() * vals[: near.size], minlength=targets.size)
     start = near.size
-    for (_, r, _), fw, tau in zip(walk.far, far_w, far):
+    for (_, r, _, _), fw, tau in zip(walk.far, far_w, far):
         out[r] += fw.reshape(r.size, -1) @ vals[start : start + tau.size]
         start += tau.size
     return out

@@ -46,6 +46,21 @@ def test_ibp_constant_case():
     assert r.rel_residual <= 1e-10
 
 
+def test_a_float32_rectangle_end_is_the_float_it_rounds_to():
+    # as a p-set's ends are: the rectangle equals and hashes as the float
+    # one and gives its report bit for bit, and a p-set on the decimal
+    # the float32 came from no longer matches it
+    end = np.float32(0.1)
+    rect, exact = Rectangle(0, 1, 0, end), Rectangle(0.0, 1.0, 0.0, float(end))
+    assert type(rect.b2) is float and rect == exact and hash(rect) == hash(exact)
+    specs = (e2("t1*t2"), e2("t1+t2^2"), e2("1+t1*t2"))
+    P2 = standard_left(0.0, float(end))
+    got, want = (verify_green(*specs, 0.5, LEFT1, P2, RL, r) for r in (rect, exact))
+    assert json.dumps(got.to_json_dict()) == json.dumps(want.to_json_dict())
+    with pytest.raises(ValueError, match="does not match rectangle axis 2"):
+        verify_green(*specs, 0.5, LEFT1, standard_left(0.0, 0.1), RL, rect)
+
+
 def test_ibp_zero_eta_vacuous():
     zero = e2("0*t1")
     f, g = e2("t1+t2"), e2("t1*t2")

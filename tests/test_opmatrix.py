@@ -13,13 +13,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from genfrac import opmatrix
+from genfrac import opmatrix, quadrature
 from genfrac.funcspec import parse_expression
 from genfrac.identities import verify_green
 from genfrac.opmatrix import clear_matrix_cache, kop_end_rows, kop_matrix
 from genfrac.ops1d import OperatorRequest, kop
 from genfrac.pset import ParameterSet, standard_left, standard_right
-from genfrac.quadrature import QuadratureRule, Rectangle, composite_nodes
+from genfrac.quadrature import Mesh, QuadratureRule, Rectangle, composite_nodes
 from genfrac.specfun import rl_family, tempered_family
 
 RULE = QuadratureRule()
@@ -211,17 +211,21 @@ def test_an_assembly_builds_each_uncached_key_once(monkeypatch):
 
 
 def test_every_kernel_on_a_mesh_reuses_its_table(monkeypatch):
-    # the kernel-free table of a half is built once for all kernels: a
-    # second kernel forms node differences for its Gauss-Jacobi pieces
+    # the kernel-free table of a half is built once for all kernels, on
+    # the walk of the kept mesh: a second kernel fetches no mesh, places
+    # no Gauss-Legendre point (it asks _leggauss for singular_nodes'
+    # weights alone), forms node differences for its Gauss-Jacobi pieces
     # alone, and gets the halves a freshly emptied table gives.  On
     # [-1, 2] Gauss-Legendre pieces that span a whole panel land on its
     # nodes, so the table holds rows fixed up for a node hit; the other
     # intervals are those of test_quadrature_points_on_a_mesh_node.
     rule = RULE.with_panels(32)
     kernels = [rl_family().instantiate(0.3), tempered_family(1.5).instantiate(0.7)]
-    walks, rows = [], []
+    walks, rows, gauss = [], [], []
     walk, differences = opmatrix.convolution_walk, opmatrix._differences
+    leggauss = quadrature._leggauss
     monkeypatch.setattr(opmatrix, "convolution_walk", lambda *a: walks.append(a) or walk(*a))
+    monkeypatch.setattr(quadrature, "_leggauss", lambda n: gauss.append(n) or leggauss(n))
     # the rows of node differences formed: one per piece or far panel
     monkeypatch.setattr(
         opmatrix, "_differences", lambda *a: rows.append(a[0].size) or differences(*a)
@@ -233,9 +237,13 @@ def test_every_kernel_on_a_mesh_reuses_its_table(monkeypatch):
             (key,) = opmatrix._TABLES
             table = opmatrix._TABLES[key][0]
             assert (table.total == 1.0).any() == (a == -1.0)
+            assert walks[0][2] is table.walk.mesh is Mesh.of(a, b, rule)
             rows.clear()
+            gauss.clear()
+            meshes = Mesh.of.cache_info()
             warm.append(_pair(P, kernels[1], rule))
             assert sum(rows) == table.walk.jacobi
+            assert gauss == [rule.order_per_panel] and Mesh.of.cache_info() == meshes
             assert len(walks) == 1 and list(opmatrix._TABLES) == [key]
             for k, pair in zip(kernels, warm):
                 clear_matrix_cache()

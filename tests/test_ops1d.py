@@ -8,9 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from genfrac.funcspec import FuncSpec, parse_expression
+from genfrac.opmatrix import clear_matrix_cache
 from genfrac.ops1d import OperatorRequest, aop, bop, kop, leibniz_boundary_terms
+from genfrac.ops2d import PartialRequest, partial_aop, partial_bop, partial_kop
 from genfrac.pset import ParameterSet, standard_left, standard_right
-from genfrac.quadrature import NonFiniteSampleError, QuadratureRule, composite_nodes
+from genfrac.quadrature import (
+    DEFAULT_RULE, Mesh, NonFiniteSampleError, QuadratureRule, composite_nodes
+)
 from genfrac.specfun import euler_oracle, rl_family, tempered_family
 
 TWO_INV_GAMMA_HALF = 1.1283791670955125739
@@ -456,3 +460,28 @@ def test_rescaling_multiplies_power_kernel_integral(case, scale):
     P = ParameterSet(scale * a, scale * b, case["p"], case["q"])
     got = kop(K(case["alpha"], P), _composed(case["expr"], f"t/{scale!r}"), scale * t)
     assert got == pytest.approx(scale ** case["alpha"] * want, rel=_TOL["K"], abs=1e-300)
+
+
+def test_the_1d_path_builds_each_mesh_once():
+    # fresh orders and mixed weights on one interval share its mesh, in
+    # kop, aop, bop and the partial operators alike; the kept arrays are
+    # read-only, and clear_matrix_cache drops the mesh
+    clear_matrix_cache()
+    rng = np.random.default_rng(22)
+    f, g = parse_expression("sin(3*t)+t^2"), parse_expression("t1*t2+cos(t1)", arity=2)
+    ops = {"K": (kop, partial_kop), "A": (aop, partial_aop), "B": (bop, partial_bop)}
+    for _ in range(4):
+        p = float(rng.uniform(-2.0, 2.0))
+        P = ParameterSet(0.0, 1.0, p, 1.0 - p)
+        for kind, (op, partial) in ops.items():
+            req = OperatorRequest(kind, float(rng.uniform(0.1, 0.9)), P, RL)
+            op(req, f, 0.7)
+            partial(PartialRequest(1, req), g, 0.3, 0.6)
+    info = Mesh.of.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 23, 1)
+    mesh = Mesh.of(0.0, 1.0, DEFAULT_RULE)
+    for x in (mesh.edges, mesh.widths, mesh.far_weights, *(a for side in mesh.far for a in side)):
+        with pytest.raises(ValueError, match="read-only"):
+            x[...] = 0.0
+    clear_matrix_cache()
+    assert Mesh.of.cache_info().currsize == 0

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from genfrac.quadrature import (
     _SIGMA_CACHE_SIZE,
     DEFAULT_RULE,
+    Mesh,
     NonFiniteSampleError,
     QuadratureRule,
     Rectangle,
@@ -251,7 +252,9 @@ def test_rectangle_validation():
 @pytest.mark.parametrize(
     "ends",
     # an int past the float range too, on which math.isfinite overflows
-    [(0, math.inf, 0, 1), (-math.inf, 0, 0, 1), (0, 1, -math.inf, math.inf), (0, 10**400, 0, 1)],
+    # and a bool, which ParameterSet refuses too
+    [(0, math.inf, 0, 1), (-math.inf, 0, 0, 1), (0, 1, -math.inf, math.inf), (0, 10**400, 0, 1),
+     (True, 2, 0, 1)],
 )
 def test_rectangle_rejects_infinite_endpoints(ends):
     with pytest.raises(ValueError, match="finite"):
@@ -271,11 +274,14 @@ def test_composite_nodes_structure():
     assert math.fsum(w) == pytest.approx(1.0, rel=1e-14)
 
 
-def test_convolution_rows_refuse_the_edges_of_another_rule():
-    _, _, edges = composite_nodes(0.0, 1.0, QuadratureRule(panels=16))
+def test_convolution_walk_refuses_the_mesh_of_another_interval():
+    # a mesh carries its rule, so its edges cannot be another rule's: the
+    # walk lays out that rule's panels, and refuses a mesh of another interval
+    mesh = Mesh.of(0.0, 1.0, QuadratureRule(panels=16))
     targets = np.array([0.5])
-    with pytest.raises(ValueError, match="17 edges for a rule of 8 panels"):
-        convolution_walk(standard_left(0.0, 1.0), targets, edges, DEFAULT_RULE)
+    assert convolution_walk(standard_left(0.0, 1.0), targets, mesh).pans.max() == 7
+    with pytest.raises(ValueError, match=r"a mesh of \[0.0, 1.0\] for a p-set on \[0.0, 2.0\]"):
+        convolution_walk(standard_left(0.0, 2.0), targets, mesh)
 
 
 @settings(max_examples=60, deadline=None)

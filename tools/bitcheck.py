@@ -12,7 +12,9 @@ the working tree's, each with ``OPENBLAS_NUM_THREADS=1``, dumps:
   p-sets x 4 kernels, each on a cold mesh table and on one warmed by the
   previous kernel (a refused combination dumps its error message);
 - 400 ``quadrature.convolve`` calls on seeded random intervals, p-sets,
-  kernels, rules, targets and operands;
+  kernels, rules, targets and operands, each made twice: the second
+  call runs on the mesh the first one kept, so a kept mesh that a call
+  changes, or that another interval shares, shows;
 - ``genfrac corpus --json`` at the default rule and at ``--panels 32``.
 
 Exits 0 if every array and both corpus files are byte-identical, else
@@ -89,8 +91,10 @@ for i in range(400):
     targets = np.sort(np.concatenate([rng.uniform(a, b, int(rng.integers(1, 6))), [a, b]]))
     c = float(rng.uniform(0.5, 3.0))
     f = lambda t: np.cos(c * (t - a)) + (t - a) ** 2
-    dump(f"convolve {i}", lambda: convolve(f, ParameterSet(a, b, p, q), family.instantiate(alpha),
-                                           targets, rule, message="operand"))
+    for warm in ("", " warm"):
+        dump(f"convolve {i}{warm}", lambda: convolve(f, ParameterSet(a, b, p, q),
+                                                     family.instantiate(alpha), targets, rule,
+                                                     message="operand"))
 
 np.savez(out / "arrays.npz", **arrays)
 for name, extra in (("corpus.json", []), ("corpus-32.json", ["--panels", "32"])):

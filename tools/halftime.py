@@ -1,4 +1,4 @@
-"""Time the assembly of one operator half on a warm mesh table, REV against the working tree.
+"""Time one operator half on a warm mesh table, and one ``kop`` call, REV against the working tree.
 
 Usage, from anywhere in a checkout::
 
@@ -11,10 +11,14 @@ working tree then run in turn, alternating which goes first, each with
 halves of [0, 1] at 128, 256 and 512 nodes (16-point panels), then
 times ``opmatrix._assemble`` for a fresh order on each, the
 Riemann-Liouville and the tempered kernel in turn.  What a new order on
-a known mesh costs is what a convergence sweep pays per half.
+a known mesh costs is what a convergence sweep pays per half.  The same
+child then times ``genfrac.kop`` at t = 0.7 on ``ParameterSet(0, 1,
+0.3, 0.7)`` with the Riemann-Liouville kernel at a fresh order per call,
+what a single evaluation pays.
 
 Prints, per node count, the median time of one half on each tree and
-the working tree's over REV's.  Nothing is left on disk.
+the working tree's over REV's, then the same for one ``kop`` call.
+Nothing is left on disk.
 """
 
 from __future__ import annotations
@@ -30,9 +34,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 ROUNDS = 6  # child processes per tree
 ORDERS = 20  # fresh orders per half and node count in each child
+KOPS = 200  # kop calls in each child
 NODES = (128, 256, 512)
 
-# Run in each tree's child: prints {nodes: [seconds per half, ...]} as JSON.
+# Run in each tree's child: prints {nodes: [seconds per half, ...], "kop":
+# [seconds per call, ...]} as JSON.
 CHILD = r'''
 import json
 import sys
@@ -40,12 +46,14 @@ import time
 
 import numpy as np
 
+import genfrac
 from genfrac import opmatrix
 from genfrac.pset import standard_left, standard_right
 from genfrac.quadrature import QuadratureRule
 from genfrac.specfun import rl_family, tempered_family
 
-orders, seed, nodes = int(sys.argv[1]), int(sys.argv[2]), json.loads(sys.argv[3])
+orders, seed, kops = map(int, sys.argv[1:4])
+nodes = json.loads(sys.argv[4])
 rng = np.random.default_rng(seed)
 families = [rl_family(), tempered_family(1.0)]
 halves = [standard_left(0.0, 1.0), standard_right(0.0, 1.0)]
@@ -61,6 +69,14 @@ for n in nodes:
             start = time.perf_counter()
             opmatrix._assemble(P, kernel, rule)
             times[n].append(time.perf_counter() - start)
+P, f = genfrac.ParameterSet(0.0, 1.0, 0.3, 0.7), genfrac.parse_expression("sin(3*t) + t^2")
+genfrac.kop(genfrac.OperatorRequest("K", 0.5, P, families[0]), f, 0.7)  # warm the code paths
+times["kop"] = []
+for i in range(kops):
+    req = genfrac.OperatorRequest("K", float(rng.uniform(0.05, 0.95)), P, families[0])
+    start = time.perf_counter()
+    genfrac.kop(req, f, 0.7)
+    times["kop"].append(time.perf_counter() - start)
 print(json.dumps(times))
 '''
 
@@ -68,7 +84,7 @@ print(json.dumps(times))
 def _times(tree: Path, seed: int) -> dict:
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(tree / "src"))
     out = subprocess.run(
-        [sys.executable, "-c", CHILD, str(ORDERS), str(seed), json.dumps(NODES)],
+        [sys.executable, "-c", CHILD, str(ORDERS), str(seed), str(KOPS), json.dumps(NODES)],
         cwd=tree, env=env, capture_output=True, text=True, check=True,
     ).stdout
     return json.loads(out)
@@ -78,7 +94,7 @@ def main(argv: list[str]) -> int:
     if len(argv) > 1:
         sys.exit("usage: python tools/halftime.py [REV]")
     rev = argv[0] if argv else "HEAD"
-    samples = {"rev": {n: [] for n in NODES}, "work": {n: [] for n in NODES}}
+    samples = {s: {str(n): [] for n in (*NODES, "kop")} for s in ("rev", "work")}
     with tempfile.TemporaryDirectory() as tmp:
         tree = Path(tmp)
         archive = subprocess.run(
@@ -90,11 +106,15 @@ def main(argv: list[str]) -> int:
             sides = [("rev", tree), ("work", ROOT)]
             for name, path in sides if r % 2 else sides[::-1]:
                 for n, ts in _times(path, r).items():
-                    samples[name][int(n)].extend(ts)
+                    samples[name][n].extend(ts)
+    med = {s: {n: statistics.median(ts) for n, ts in samples[s].items()} for s in samples}
     print(f"one half on a warm table, median of {ROUNDS * ORDERS * 2} (ms): {rev} -> working tree")
-    for n in NODES:
-        old, new = (statistics.median(samples[s][n]) * 1e3 for s in ("rev", "work"))
-        print(f"{n:4d} nodes: {old:7.3f} -> {new:7.3f}  ({new / old:.3f} of {rev})")
+    for n in map(str, NODES):
+        old, new = med["rev"][n] * 1e3, med["work"][n] * 1e3
+        print(f"{n:>4} nodes: {old:7.3f} -> {new:7.3f}  ({new / old:.3f} of {rev})")
+    old, new = med["rev"]["kop"] * 1e6, med["work"]["kop"] * 1e6
+    print(f"one kop call at t = 0.7, median of {ROUNDS * KOPS} (us): "
+          f"{old:.1f} -> {new:.1f}  ({new / old:.3f} of {rev})")
     return 0
 
 
