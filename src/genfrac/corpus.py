@@ -82,11 +82,7 @@ def run_corpus(rule: QuadratureRule = DEFAULT_RULE) -> dict:
         )
     return {
         "rect": [rect.a1, rect.b1, rect.a2, rect.b2],
-        "rule": {
-            "family": "gauss_jacobi",
-            "order": rule.order_per_panel,
-            "panels": rule.panels,
-        },
+        "rule": rule.to_json_dict(),
         "entries": entries,
     }
 

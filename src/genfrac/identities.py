@@ -111,11 +111,7 @@ class VerificationReport:
             "alpha": self.alpha,
             "kernel": self.kernel,
             "psets": list(self.psets),
-            "rule": {
-                "family": "gauss_jacobi",
-                "order": self.rule.order_per_panel,
-                "panels": self.rule.panels,
-            },
+            "rule": self.rule.to_json_dict(),
             "inputs": dict(self.inputs),
         }
 

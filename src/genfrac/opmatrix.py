@@ -87,9 +87,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .pset import ParameterSet
-from .quadrature import (
-    Mesh, QuadratureRule, Walk, composite_nodes, convolution_rows, convolution_walk
-)
+from .quadrature import Mesh, QuadratureRule, Walk, convolution_rows, convolution_walk
 from .specfun import Kernel
 
 __all__ = ["kop_matrix", "kop_end_rows", "clear_matrix_cache"]
@@ -181,19 +179,20 @@ def cached(key, build):
     return _CACHE.fetch(key, build, _CACHE_BYTES)
 
 
-def _bary_weights(panels: np.ndarray) -> np.ndarray:
-    """Barycentric weights 1 / prod_k (x_j - x_k), one row per panel.
+def _bary_weights(panels: np.ndarray):
+    """``(weights, exp)``: barycentric weights 1 / prod_k (x_j - x_k), one row per panel.
 
-    The differences are first divided by a power of two near the panel's
-    node span, so that the product neither underflows nor overflows on a
-    tiny panel.  The factor is common to a panel's weights and cancels in
-    the second form; being a power of two, it cancels exactly.
+    The differences are first multiplied by ``2**exp``, per panel the
+    inverse of a power of two near its node span, so that the product
+    neither underflows nor overflows on a tiny panel.  The factor is
+    common to a panel's weights and cancels in the second form; being a
+    power of two, it cancels exactly.
     """
-    _, span_exp = np.frexp(panels[:, -1] - panels[:, 0])
-    d = np.ldexp(panels[:, :, None] - panels[:, None, :], -span_exp[:, None, None])
+    exp = -np.frexp(panels[:, -1] - panels[:, 0])[1]
+    d = np.ldexp(panels[:, :, None] - panels[:, None, :], exp[:, None, None])
     j = np.arange(panels.shape[1])
     d[:, j, j] = 1.0
-    return 1.0 / d.prod(axis=2)
+    return 1.0 / d.prod(axis=2), exp
 
 
 def _terms(diffs, bws):
@@ -292,7 +291,7 @@ class _Table(NamedTuple):
 
     panels: np.ndarray  # the nodes, (panels, order)
     bws: np.ndarray  # their barycentric weights, (panels, 1, order)
-    exp: np.ndarray  # per panel, the scale of its node differences, as in _bary_weights
+    exp: np.ndarray  # per panel, the scale of its node differences (_bary_weights)
     walk: Walk  # the pieces at the targets a, the nodes, b
     far: list  # per side, its far interpolation matrix, (panels, far points, order), or None
     terms: np.ndarray  # the Gauss-Legendre near pieces' terms, (points, nodes, pieces)
@@ -307,18 +306,17 @@ def _table(pset: ParameterSet, rule: QuadratureRule) -> _Table:
     whose nodes are not strictly increasing: equal nodes have no
     barycentric weight.
     """
-    nodes, _, _ = composite_nodes(pset.a, pset.b, rule)
+    mesh = Mesh.of(pset.a, pset.b, rule)
+    nodes = mesh.nodes
     if not (np.diff(nodes) > 0.0).all():
         raise ValueError(
             f"{rule} on [{pset.a!r}, {pset.b!r}] has nodes that round to equal "
             f"values: its end panels are too narrow for the floats there"
         )
     panels = nodes.reshape(rule.panels, rule.order_per_panel)
-    bws = _bary_weights(panels)[:, None, :]
-    # the node differences in the units that _bary_weights scales by
-    exp = -np.frexp(panels[:, -1] - panels[:, 0])[1]
+    bws, exp = _bary_weights(panels)
+    bws = bws[:, None, :]
     # the targets ascend, so the targets of a far group are a run of rows
-    mesh = Mesh.of(pset.a, pset.b, rule)
     walk = convolution_walk(pset, np.concatenate([[pset.a], nodes, [pset.b]]), mesh)
     far = [None, None]  # a side without far panels needs none
     for side in {side for side, *_ in walk.far}:
@@ -360,8 +358,8 @@ def _assemble(pset: ParameterSet, kernel: Kernel, rule: QuadratureRule):
 
 
 def _matrices(pset: ParameterSet, kernel: Kernel, rule: QuadratureRule):
-    """The cached pair (mesh rows, end rows); a miss assembles it here."""
-    key = ("kop", pset.as_tuple(), kernel.cache_key, rule)
+    """The pair (mesh rows, end rows), cached if the kernel has a key; a miss assembles it here."""
+    key = None if kernel.cache_key is None else ("kop", pset.as_tuple(), kernel.cache_key, rule)
     return cached(key, lambda: _assemble(pset, kernel, rule))
 
 
@@ -369,11 +367,10 @@ def kop_matrix(pset: ParameterSet, kernel: Kernel, rule: QuadratureRule) -> np.n
     """Matrix M with (K v)(nodes) ~ M @ v(nodes) on the p-set's composite mesh.
 
     The mesh is ``composite_nodes(pset.a, pset.b, rule)``.  Results are
-    kept in the one byte-bounded cache of this module, per (p-set, kernel
-    identity, rule); a cache hit returns the same read-only array object.
-    Kernels are identified by (label, order, singularity exponent), so a
-    kernel's label must name its parameters exactly (the tempered kernel's
-    holds ``repr(lam)``).
+    kept in the one byte-bounded cache of this module, per (p-set,
+    ``kernel.cache_key``, rule); a cache hit returns the same read-only
+    array object.  A kernel without a key is assembled on every call,
+    on the kept mesh table.
     """
     return _matrices(pset, kernel, rule)[0]
 

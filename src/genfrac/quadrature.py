@@ -13,8 +13,9 @@ one by one; the far points of a panel are the same for every target and
 go through one fixed interpolation matrix (product integration with
 local corrections: Kolm & Rokhlin 2001, Helsing & Ojala 2008).  The
 rule takes three steps.  A :class:`Mesh`, kept per (interval, rule),
-holds what depends on neither targets nor kernel: the edges, the far
-panels of each panel, the far points and their weights.
+holds what depends on neither targets nor kernel: the composite nodes
+and weights, the edges, the far panels of each panel, the far points and
+their weights.
 :func:`convolution_walk` lays out the pieces near each target on a mesh;
 its :class:`Walk` is the one description of them and places their
 Gauss-Legendre points.  :func:`convolution_rows` adds what depends on
@@ -40,7 +41,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .pset import ParameterSet, finite, real
+from .pset import ParameterSet, real
 from .specfun import Kernel
 
 __all__ = [
@@ -103,20 +104,19 @@ def sample(fn: Callable, *coords, message: str, suffix: str = "") -> np.ndarray:
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Panel-structured Gaussian rule.
+    """Panel-structured Gaussian rule: its two fields are all that sets a mesh.
 
     :func:`composite_nodes` puts ``order_per_panel`` Gauss-Legendre nodes
-    on each of ``panels`` panels, graded toward both endpoints at
-    ``grading_strength``; integrands there inherit endpoint roughness of
-    type (t - a)**alpha from the convolution fields, which heavy grading
-    resolves.  The convolutions split at the same panel edges
-    (:func:`convolution_walk`): ``far_order`` points on a far panel,
-    ``order_per_panel`` on every piece near the target.
+    on each of ``panels`` panels, graded toward both endpoints at the
+    fixed strength ``_GRADING`` (:func:`graded_edges`); integrands there
+    inherit endpoint roughness of type (t - a)**alpha from the convolution
+    fields, which heavy grading resolves.  The convolutions split at the
+    same panel edges (:func:`convolution_walk`): ``far_order`` points on a
+    far panel, ``order_per_panel`` on every piece near the target.
     """
 
     order_per_panel: int = 16
     panels: int = 8
-    grading_strength: float = 6.0
 
     def __post_init__(self) -> None:
         for name in ("order_per_panel", "panels"):
@@ -128,10 +128,10 @@ class QuadratureRule:
             raise ValueError("order_per_panel must be >= 1")
         if self.panels < 1:
             raise ValueError("panels must be >= 1")
-        if not (finite(self.grading_strength) and self.grading_strength >= 1.0):
-            raise ValueError(
-                f"grading_strength must be finite and >= 1, got {self.grading_strength!r}"
-            )
+
+    def to_json_dict(self) -> dict:
+        """The rule as reports and the corpus name it."""
+        return {"family": "gauss_jacobi", "order": self.order_per_panel, "panels": self.panels}
 
     @property
     def node_count(self) -> int:
@@ -143,9 +143,6 @@ class QuadratureRule:
         nodes, so that no far point lands on a node and the matrices of the
         two halves are not each other's transposes by construction."""
         return self.order_per_panel + 4
-
-    def with_panels(self, panels: int) -> "QuadratureRule":
-        return QuadratureRule(self.order_per_panel, panels, self.grading_strength)
 
 
 DEFAULT_RULE = QuadratureRule()
@@ -211,38 +208,31 @@ def _jacobi_left(n: int, sigma: float) -> tuple[np.ndarray, np.ndarray]:
     return x, (mu0 / v0.sum()) * v0
 
 
-def graded_edges(lo: float, hi: float, panels: int, strength: float) -> np.ndarray:
-    """Panel edges refined toward both endpoints at ``strength``."""
+# Strength of the grading of every mesh toward both ends of its interval,
+# a fixed part of the method and not of a rule.
+_GRADING = 6.0
+
+
+def graded_edges(panels: int) -> np.ndarray:
+    """Panel edges of [0, 1] refined toward both ends at ``_GRADING``."""
     if panels <= 1:
-        return np.array([lo, hi], dtype=float)
+        return np.array([0.0, 1.0])
     mlo = panels // 2
     mhi = panels - mlo
-    mid = 0.5 * (lo + hi)
-    left = lo + (mid - lo) * (np.arange(mlo + 1) / mlo) ** strength
-    right = hi - (hi - mid) * (np.arange(mhi, -1, -1) / mhi) ** strength
+    left = 0.5 * (np.arange(mlo + 1) / mlo) ** _GRADING
+    right = 1.0 - 0.5 * (np.arange(mhi, -1, -1) / mhi) ** _GRADING
     return np.concatenate([left, right[1:]])
-
-
-@lru_cache(maxsize=None)
-def _composite_unit(order: int, panels: int, strength: float):
-    """Nodes/weights/edges of the two-sided graded composite rule on [0, 1]."""
-    edges = graded_edges(0.0, 1.0, panels, strength)
-    xg, wg = _leggauss(order)
-    half = 0.5 * np.diff(edges)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    return (mids[:, None] + half[:, None] * xg).ravel(), (half[:, None] * wg).ravel(), edges
 
 
 def composite_nodes(lo: float, hi: float, rule: QuadratureRule):
     """Composite Gauss-Legendre mesh on [lo, hi] for product integrals.
 
-    Returns ``(nodes, weights, edges)``.  Panels are graded toward both
-    endpoints at ``rule.grading_strength``; the edges, those of the
-    :class:`Mesh`, run from lo to hi exactly.
+    Returns ``(nodes, weights, edges)``, the read-only arrays of the
+    interval's kept :class:`Mesh`.  Panels are graded toward both
+    endpoints; the edges run from lo to hi exactly.
     """
-    x, w, _ = _composite_unit(rule.order_per_panel, rule.panels, rule.grading_strength)
-    L = hi - lo
-    return lo + L * x, L * w, Mesh.of(lo, hi, rule).edges
+    mesh = Mesh.of(lo, hi, rule)
+    return mesh.nodes, mesh.weights, mesh.edges
 
 
 def rectangle_mesh(rect: Rectangle, rule: QuadratureRule):
@@ -278,11 +268,14 @@ def singular_nodes(kernel: Kernel, walk: Walk):
 
 
 class Mesh(NamedTuple):
-    """What every convolution on a rule's mesh of [lo, hi] needs, whatever its targets and kernel.
+    """A rule's kept mesh of [lo, hi]: its nodes, and what any convolution on it needs.
 
-    ``edges`` are the panel edges of ``composite_nodes(lo, hi, rule)``;
-    the ends are lo and hi themselves, as lo + (hi - lo) can round to
-    either side of hi and a target on hi must find it on the last edge.
+    ``nodes`` and ``weights`` are the composite Gauss-Legendre rule that
+    :func:`composite_nodes` returns, lo + L x and L w for the rule's
+    nodes x and weights w on [0, 1] and L = hi - lo.  ``edges`` are its
+    panel edges; the ends are lo and hi themselves, as lo + (hi - lo) can
+    round to either side of hi and a target on hi must find it on the
+    last edge.
     Side 0 is the leftward half, side 1 the rightward one, which walks the
     mirrored mesh.  ``frames[side]`` holds the side's edges as floats
     (negated and reversed on side 1), and ``counts[side]`` per panel J in
@@ -297,6 +290,8 @@ class Mesh(NamedTuple):
     """
 
     rule: QuadratureRule
+    nodes: np.ndarray
+    weights: np.ndarray
     edges: np.ndarray
     frames: tuple
     counts: tuple
@@ -308,22 +303,26 @@ class Mesh(NamedTuple):
     @lru_cache(maxsize=_SIGMA_CACHE_SIZE)
     def of(lo: float, hi: float, rule: QuadratureRule) -> Mesh:
         """The mesh of ``rule`` on [lo, hi], built on the first call and kept."""
-        _, _, unit = _composite_unit(rule.order_per_panel, rule.panels, rule.grading_strength)
-        edges = lo + (hi - lo) * unit
+        unit = graded_edges(rule.panels)
+        xg, wg = _leggauss(rule.order_per_panel)
+        half = 0.5 * np.diff(unit)[:, None]
+        x = (0.5 * (unit[:-1] + unit[1:])[:, None] + half * xg).ravel()
+        L = hi - lo
+        edges = lo + L * unit
         edges[-1] = hi
         widths = np.diff(edges)[:, None]
-        xg, wg = _leggauss(rule.far_order)
-        off = widths * (0.5 * (1.0 + xg))  # the far points' distances from their panel's end
-        arrays = edges, widths, -off, off, 0.5 * wg
-        for x in arrays:
-            x.flags.writeable = False
-        far = ((edges[1:], arrays[2]), (edges[:-1], off))  # views of read-only edges
+        xf, wf = _leggauss(rule.far_order)
+        off = widths * (0.5 * (1.0 + xf))  # the far points' distances from their panel's end
+        nodes, weights, back, far_weights = lo + L * x, L * (half * wg).ravel(), -off, 0.5 * wf
+        for a in (nodes, weights, edges, widths, back, off, far_weights):
+            a.flags.writeable = False
+        far = ((edges[1:], back), (edges[:-1], off))  # views of read-only edges
         frames, counts = (tuple(edges.tolist()), tuple((-edges[::-1]).tolist())), []
         for e in (unit, -unit[::-1]):
             near = np.tril(e[:-1, None] - e[1:] < 0.5 * np.diff(e), -1)  # [J, j]: j is near J
             m = np.where(near.any(1), near.argmax(1), np.arange(e.size - 1))
             counts.append(tuple(m.tolist()))
-        return Mesh(rule, edges, frames, tuple(counts), far, widths, arrays[4])
+        return Mesh(rule, nodes, weights, edges, frames, tuple(counts), far, widths, far_weights)
 
 
 class Walk(NamedTuple):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Literal
+from typing import Callable, Literal, Optional
 
 import numpy as np
 
@@ -64,12 +64,18 @@ class Kernel:
     but not this, and its operators converge slowly (at about first order
     in the panel count) without any sign in the residual.  The built-in
     kernels, x**(alpha-1) e^(-lam x) up to a constant, meet it.
+
+    ``cache_key`` identifies the kernel in the caches of operator
+    matrices: two kernels with equal keys must be the same function.  The
+    built-in factories set one from every parameter; a kernel without a
+    key (None, the default) is never cached.
     """
 
     order_param: float
     evaluate: Callable[[np.ndarray], np.ndarray]
     singularity_exponent: float
     label: str
+    cache_key: Optional[tuple] = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "order_param", real(self.order_param, "order_param"))
@@ -87,10 +93,6 @@ class Kernel:
 
     def __call__(self, x):
         return self.evaluate(x)
-
-    @property
-    def cache_key(self) -> tuple:
-        return (self.label, self.order_param, self.singularity_exponent)
 
 
 @dataclass(frozen=True)
@@ -131,11 +133,13 @@ def _power_kernel(alpha: float, lam: float, label: str) -> Kernel:
         power = np.ones_like(x) if alpha == 1.0 else c * x ** (alpha - 1.0)
         return power if lam == 0.0 else power * np.exp(-lam * x)
 
+    label = label.format(lam=lam)
     return Kernel(
         order_param=alpha,
         evaluate=evaluate,
         singularity_exponent=1.0 - alpha,
-        label=label.format(lam=lam),
+        label=label,
+        cache_key=(label, alpha, 1.0 - alpha),  # the label holds repr(lam)
     )
 
 

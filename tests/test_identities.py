@@ -24,7 +24,7 @@ from genfrac.ops1d import OperatorRequest
 from genfrac.ops2d import PartialRequest, partial_kop
 from genfrac.pset import ParameterSet, standard_left, standard_right
 from genfrac.quadrature import NonFiniteSampleError, QuadratureRule, Rectangle, integrate_2d
-from genfrac.specfun import rl_family, rl_kernel, tempered_family
+from genfrac.specfun import Kernel, KernelFamily, rl_family, rl_kernel, tempered_family
 
 IBP_CONST_BOTH_SIDES = 1.5045055561273500985  # 4 / (3 gamma(3/2))
 
@@ -418,6 +418,16 @@ def test_report_json_schema():
     assert again["abs_residual"] == abs(r.lhs - (r.rhs_area + r.rhs_boundary))
 
 
+def test_rules_that_differ_in_any_field_report_different_rules():
+    # the report's rule is all that set the mesh its residual came from
+    r = verify_ibp_2d(
+        e2("t1+t2"), e2("t1*t2"), e2("t1^2"), e2("t2^2"), 0.5, LEFT1, LEFT1, RL, RECT
+    )
+    for field in dataclasses.fields(r.rule):
+        other = dataclasses.replace(r.rule, **{field.name: getattr(r.rule, field.name) + 1})
+        assert dataclasses.replace(r, rule=other).to_json_dict()["rule"] != r.to_json_dict()["rule"]
+
+
 def test_matrix_cache_tells_close_tempering_rates_apart():
     args = (e2("t1+t2"), e2("t1*t2"), e2("sin(t1)*t2"), e2("t1*cos(t2)"), 0.5, LEFT1, LEFT1)
     clear_matrix_cache()
@@ -426,6 +436,31 @@ def test_matrix_cache_tells_close_tempering_rates_apart():
     clear_matrix_cache()
     fresh = verify_ibp_2d(*args, tempered_family(1.0000001), RECT)
     assert after_neighbour.lhs == fresh.lhs
+
+
+def _scaled_power_family(c):
+    """c x**(alpha-1), plugged in under the label "mine" whatever c is."""
+
+    def make(order):
+        return Kernel(order, lambda x: c * np.asarray(x, dtype=float) ** (order - 1.0), 1.0 - order,
+                      "mine")
+
+    return KernelFamily("mine", make)
+
+
+def test_plugged_kernels_that_share_a_label_share_no_matrix(monkeypatch):
+    # a label does not identify a kernel, so a kernel without a key is
+    # assembled afresh by each check, once per half, and never kept
+    made = []
+    assemble = opmatrix._assemble
+    monkeypatch.setattr(opmatrix, "_assemble", lambda *a: made.append(a[0]) or assemble(*a))
+    args = (e2("t1+t2"), e2("t1*t2"), e2("t1^2"), e2("t2^2"), 0.5, LEFT1, LEFT1)
+    clear_matrix_cache()
+    one, two = (verify_ibp_2d(*args, _scaled_power_family(c), RECT) for c in (1.0, 2.0))
+    assert two.lhs / one.lhs == pytest.approx(2.0, rel=1e-14)
+    assert made == [LEFT1, standard_right(0.0, 1.0)] * 2
+    assert not any(key[0] == "kop" for key in opmatrix._CACHE)
+    clear_matrix_cache()
 
 
 # a nonzero weight below the smallest normal double is refused by ParameterSet

@@ -20,7 +20,7 @@ from genfrac.opmatrix import clear_matrix_cache, kop_end_rows, kop_matrix
 from genfrac.ops1d import OperatorRequest, kop
 from genfrac.pset import ParameterSet, standard_left, standard_right
 from genfrac.quadrature import Mesh, QuadratureRule, Rectangle, composite_nodes
-from genfrac.specfun import rl_family, tempered_family
+from genfrac.specfun import Kernel, rl_family, tempered_family
 
 RULE = QuadratureRule()
 
@@ -54,6 +54,16 @@ def test_cache_hit_returns_the_same_array():
     assert kop_end_rows(P, kern, RULE) is kop_end_rows(P, kern, RULE)
 
 
+def test_a_hand_built_kernel_labelled_rl_reads_no_built_in_matrix():
+    builtin = rl_family().instantiate(0.5)
+    mine = Kernel(0.5, lambda x: 2.0 * builtin.evaluate(x), 0.5, "rl")
+    P = standard_left(0.0, 1.0)
+    M = kop_matrix(P, builtin, RULE)
+    # doubling every kernel value doubles every product and sum exactly
+    np.testing.assert_array_equal(kop_matrix(P, mine, RULE), 2.0 * M)
+    np.testing.assert_array_equal(kop_end_rows(P, mine, RULE), 2.0 * kop_end_rows(P, builtin, RULE))
+
+
 @pytest.mark.parametrize("kernel", [rl_family(), tempered_family(1.0)], ids=["rl", "tempered"])
 @pytest.mark.parametrize("interval", [(0.0, 1.0), (-2.0, 3.0), (5.0, 5.01)])
 @pytest.mark.parametrize("weights", [(0.3, 0.7), (1.5, -0.25)])
@@ -75,7 +85,7 @@ def _half_on_powers(side, alpha, a, b, panels):
     exact values Gamma(beta+1)/Gamma(beta+alpha+1) (d/W)**beta d**alpha,
     for each beta; d is the distance to the half's lower limit (t - a on
     the left, b - t on the right) and W = b - a."""
-    rule = RULE.with_panels(panels)
+    rule = QuadratureRule(RULE.order_per_panel, panels)
     nodes, _, _ = composite_nodes(a, b, rule)
     P = standard_left(a, b) if side == "left" else standard_right(a, b)
     kern = rl_family().instantiate(alpha)
@@ -128,10 +138,10 @@ def test_quadrature_points_on_a_mesh_node(interval):
     # the second form divides by zero at a point exactly on a node; the
     # row there is the point's weight at that node, and finite
     a, b = interval
-    rule = RULE.with_panels(32)
+    rule = QuadratureRule(RULE.order_per_panel, 32)
     nodes, _, _ = composite_nodes(a, b, rule)
     panels = nodes.reshape(rule.panels, rule.order_per_panel)
-    bws = opmatrix._bary_weights(panels)
+    bws, _ = opmatrix._bary_weights(panels)
     v = parse_expression(f"1+((t-{a!r})/{b - a!r})^3", arity=1)
     for ip in (0, 15, 31):
         x = panels[ip]
@@ -168,7 +178,7 @@ def _pair(P, kern, rule):
 
 
 def test_cold_assemblies_are_bitwise_equal():
-    rule = RULE.with_panels(32)
+    rule = QuadratureRule(RULE.order_per_panel, 32)
     P, kern = ParameterSet(-2.0, 3.0, 0.6, 0.4), tempered_family(0.7).instantiate(0.35)
     runs = []
     for _ in range(2):
@@ -182,7 +192,7 @@ def test_cold_assemblies_are_bitwise_equal():
 def test_an_assembly_builds_each_uncached_key_once(monkeypatch):
     # a mixed Green check on the unit square needs both halves of [0, 1];
     # the cached one is read, the other assembled once for all its terms
-    rule = RULE.with_panels(8)
+    rule = QuadratureRule(RULE.order_per_panel, 8)
     kern = rl_family().instantiate(0.25)
     left, right = standard_left(0.0, 1.0), standard_right(0.0, 1.0)
     clear_matrix_cache()
@@ -219,7 +229,7 @@ def test_every_kernel_on_a_mesh_reuses_its_table(monkeypatch):
     # [-1, 2] Gauss-Legendre pieces that span a whole panel land on its
     # nodes, so the table holds rows fixed up for a node hit; the other
     # intervals are those of test_quadrature_points_on_a_mesh_node.
-    rule = RULE.with_panels(32)
+    rule = QuadratureRule(RULE.order_per_panel, 32)
     kernels = [rl_family().instantiate(0.3), tempered_family(1.5).instantiate(0.7)]
     walks, rows, gauss = [], [], []
     walk, differences = opmatrix.convolution_walk, opmatrix._differences
@@ -292,7 +302,7 @@ def test_the_mesh_tables_stay_within_their_byte_bound(monkeypatch):
     # the tables go least recently used first, as the shared cache's
     # entries do; one larger than the bound is used but not kept, and
     # clear_matrix_cache empties them
-    rule = RULE.with_panels(8)
+    rule = QuadratureRule(RULE.order_per_panel, 8)
     kern = rl_family().instantiate(0.5)
     halves = [standard_left(0.0, 1.0), standard_right(0.0, 1.0), standard_left(-1.0, 2.0)]
     clear_matrix_cache()

@@ -371,17 +371,16 @@ def test_one_dim_integration_by_parts_light():
         assert lhs == pytest.approx(rhs, rel=1e-8)
 
 
-def test_l1_bound_light():
+def test_l1_bound_light(uniform_mesh):
     # ||K f||_1 <= (|p|+|q|) ||k||_1 ||f||_1 for one rough operand
     from genfrac.ops1d import _kop_values
-    from genfrac.quadrature import composite_nodes, integrate_singular
+    from genfrac.quadrature import integrate_singular
 
     rng = np.random.default_rng(1)
     xs = np.linspace(0.0, 1.0, 11)
     ys = rng.uniform(-1.0, 1.0, size=11)
     f = FuncSpec.from_callable(lambda x: np.interp(x, xs, ys), arity=1, label="pw-linear")
-    rule = QuadratureRule(order_per_panel=8, panels=64, grading_strength=1.0)
-    x, w, _ = composite_nodes(0.0, 1.0, rule)
+    x, w = uniform_mesh(8, 64)
     req = K(0.5, MIXED, RL, QuadratureRule(order_per_panel=8, panels=4))
     lhs = float(np.dot(w, np.abs(_kop_values(req, f, x))))
     kern = RL.instantiate(0.5)

@@ -234,12 +234,10 @@ def test_rule_validation():
         QuadratureRule(order_per_panel=0)
     with pytest.raises(ValueError):
         QuadratureRule(panels=0)
-    for bad in (0.5, math.inf, math.nan, 10**400):
-        with pytest.raises(ValueError):
-            QuadratureRule(grading_strength=bad)
+    with pytest.raises(TypeError):  # the grading is fixed, not a field
+        QuadratureRule(grading_strength=6.0)
     assert type(QuadratureRule(panels=np.int64(8)).panels) is int
     assert DEFAULT_RULE.node_count == 128
-    assert DEFAULT_RULE.with_panels(32).panels == 32
 
 
 def test_rectangle_validation():
@@ -272,6 +270,26 @@ def test_composite_nodes_structure():
     assert np.all(x > edges[idx])
     assert np.all(x < edges[idx + 1])
     assert math.fsum(w) == pytest.approx(1.0, rel=1e-14)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    a=st.floats(-1e3, 1e3),
+    width=st.floats(-3.0, 3.0).map(lambda e: 10.0**e),
+    # the rules of tools/bitcheck.py
+    rule=st.sampled_from([QuadratureRule(16, 8), QuadratureRule(16, 32), QuadratureRule(8, 5),
+                          QuadratureRule(4, 1)]),
+)
+def test_the_kept_mesh_across_scales(a, width, rule):
+    # the 1e-13 bound on the weights' sum was fixed before the first run
+    b = a + width
+    nodes, weights, edges = got = composite_nodes(a, b, rule)
+    assert (np.diff(nodes) >= 0.0).all() and a <= nodes[0] and nodes[-1] <= b
+    assert (weights > 0.0).all()
+    assert math.fsum(weights) == pytest.approx(b - a, rel=1e-13)
+    assert edges[0] == a and edges[-1] == b
+    again = composite_nodes(a, b, rule)
+    assert all(x is y and not x.flags.writeable for x, y in zip(again, got))
 
 
 def test_convolution_walk_refuses_the_mesh_of_another_interval():

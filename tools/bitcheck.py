@@ -1,4 +1,4 @@
-"""Check that a change leaves the operator halves, convolutions and corpus bit for bit.
+"""Check that a change leaves the meshes, operator halves, convolutions and corpus bit for bit.
 
 Usage, from anywhere in a checkout::
 
@@ -8,7 +8,9 @@ The files of REV (default ``HEAD``) are exported with ``git archive``
 into a temporary directory.  Then one child process per tree, REV's and
 the working tree's, each with ``OPENBLAS_NUM_THREADS=1``, dumps:
 
-- ``kop_matrix`` and ``kop_end_rows`` over 7 intervals x 4 rules x 4
+- ``composite_nodes`` (nodes, weights and edges) over 7 intervals x 4
+  rules;
+- ``kop_matrix`` and ``kop_end_rows`` over the same intervals and rules x 4
   p-sets x 4 kernels, each on a cold mesh table and on one warmed by the
   previous kernel (a refused combination dumps its error message);
 - 400 ``quadrature.convolve`` calls on seeded random intervals, p-sets,
@@ -43,7 +45,7 @@ import numpy as np
 from genfrac.cli import main
 from genfrac.opmatrix import clear_matrix_cache, kop_end_rows, kop_matrix
 from genfrac.pset import ParameterSet
-from genfrac.quadrature import QuadratureRule, convolve
+from genfrac.quadrature import QuadratureRule, composite_nodes, convolve
 from genfrac.specfun import rl_family, tempered_family
 
 out = Path(sys.argv[1])
@@ -65,6 +67,9 @@ def dump(key, build):
 
 for a, b in INTERVALS:
     for rule in RULES:
+        size = f"{rule.order_per_panel}x{rule.panels}"
+        for name, x in zip(("nodes", "weights", "edges"), composite_nodes(a, b, rule)):
+            arrays[f"composite_nodes [{a!r}, {b!r}] {size} {name}"] = x
         for p, q in WEIGHTS:
             P = ParameterSet(a, b, p, q)
             for table in ("warm", "cold"):
@@ -72,7 +77,6 @@ for a, b in INTERVALS:
                 for k, kern in enumerate(KERNELS):
                     if table == "cold":
                         clear_matrix_cache()
-                    size = f"{rule.order_per_panel}x{rule.panels}"
                     key = f"{table} [{a!r}, {b!r}] {size} ({p}, {q}) k{k}"
                     dump(key + " mesh", lambda: kop_matrix(P, kern, rule))
                     dump(key + " ends", lambda: kop_end_rows(P, kern, rule))

@@ -16,9 +16,13 @@ child then times ``genfrac.kop`` at t = 0.7 on ``ParameterSet(0, 1,
 0.3, 0.7)`` with the Riemann-Liouville kernel at a fresh order per call,
 what a single evaluation pays.
 
-Prints, per node count, the median time of one half on each tree and
-the working tree's over REV's, then the same for one ``kop`` call.
-Nothing is left on disk.
+The two trees' children of a round run back to back, so each round
+gives one ratio, the working tree's median time over REV's, per node
+count and for ``kop``; a round on a noisy moment of a shared host moves
+one ratio, not a whole side.  Prints, per node count and then for one
+``kop`` call, REV's time (the median of its rounds' medians) and the
+median of the per-round ratios with their quartiles.  Nothing is left on
+disk.
 """
 
 from __future__ import annotations
@@ -32,9 +36,9 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-ROUNDS = 6  # child processes per tree
+ROUNDS = 12  # child processes per tree
 ORDERS = 20  # fresh orders per half and node count in each child
-KOPS = 200  # kop calls in each child
+KOPS = 1000  # kop calls in each child
 NODES = (128, 256, 512)
 
 # Run in each tree's child: prints {nodes: [seconds per half, ...], "kop":
@@ -94,7 +98,9 @@ def main(argv: list[str]) -> int:
     if len(argv) > 1:
         sys.exit("usage: python tools/halftime.py [REV]")
     rev = argv[0] if argv else "HEAD"
-    samples = {s: {str(n): [] for n in (*NODES, "kop")} for s in ("rev", "work")}
+    keys = [*map(str, NODES), "kop"]
+    base = {n: [] for n in keys}  # REV's median per round
+    ratios = {n: [] for n in keys}  # the working tree's median over REV's, per round
     with tempfile.TemporaryDirectory() as tmp:
         tree = Path(tmp)
         archive = subprocess.run(
@@ -104,17 +110,22 @@ def main(argv: list[str]) -> int:
         for r in range(ROUNDS):
             # both trees draw the same orders in a round; odd rounds run REV first
             sides = [("rev", tree), ("work", ROOT)]
-            for name, path in sides if r % 2 else sides[::-1]:
-                for n, ts in _times(path, r).items():
-                    samples[name][n].extend(ts)
-    med = {s: {n: statistics.median(ts) for n, ts in samples[s].items()} for s in samples}
-    print(f"one half on a warm table, median of {ROUNDS * ORDERS * 2} (ms): {rev} -> working tree")
+            med = {name: _times(path, r) for name, path in (sides if r % 2 else sides[::-1])}
+            for n in keys:
+                old, new = (statistics.median(med[name][n]) for name in ("rev", "work"))
+                base[n].append(old)
+                ratios[n].append(new / old)
+
+    def line(n, scale):
+        q1, mid, q3 = statistics.quantiles(ratios[n], n=4)
+        old = statistics.median(base[n]) * scale
+        return f"{old:8.3f} at {rev}; working tree {mid:.3f} of it [quartiles {q1:.3f}, {q3:.3f}]"
+
+    print(f"one half on a warm table (ms), {ROUNDS} paired rounds of {ORDERS * 2} halves:")
     for n in map(str, NODES):
-        old, new = med["rev"][n] * 1e3, med["work"][n] * 1e3
-        print(f"{n:>4} nodes: {old:7.3f} -> {new:7.3f}  ({new / old:.3f} of {rev})")
-    old, new = med["rev"]["kop"] * 1e6, med["work"]["kop"] * 1e6
-    print(f"one kop call at t = 0.7, median of {ROUNDS * KOPS} (us): "
-          f"{old:.1f} -> {new:.1f}  ({new / old:.3f} of {rev})")
+        print(f"{n:>4} nodes: {line(n, 1e3)}")
+    print(f"one kop call at t = 0.7 (us), {ROUNDS} paired rounds of {KOPS} calls:")
+    print(f"     kop: {line('kop', 1e6)}")
     return 0
 
 
