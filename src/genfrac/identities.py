@@ -32,13 +32,14 @@ skips its half) and P, P* and every other p-set on the interval share
 both halves.  R comes from its own convolution rows, never from L's
 transpose, which would make the integration-by-parts residual vanish by
 construction.  A check builds its moment matrices, then fetches each
-half it needs (mesh rows or end rows) once, which assembles it on the
-calling thread on a cache miss, and contracts.  Moments are
-cached beside the matrices, keyed on the specs' ``cache_key`` (their
-expression trees) and the mesh (rectangle and rule), so a function
-quadruple checked against many orders, p-sets and kernels builds them
-once.  The grids they are built from are sampled again for each new
-moment and not kept.  A spec without an expression is never cached.
+half it needs once, as the pair (mesh rows, end rows), which assembles
+it on the calling thread on a cache miss, and contracts.  The cache
+keeps a pair once a second check asks for it.  Moments are cached
+beside the matrices, on their first request, keyed on the specs'
+``cache_key`` (their expression trees) and the mesh (rectangle and
+rule), so a function quadruple checked against many orders, p-sets and
+kernels builds them once.  The grids they are built from are sampled
+again for each new moment and not kept.  A spec without an expression is never cached.
 The A-fields use the tested splitting
 A_P v = B_P v + p v(a) k(t-a) - q v(b) k(b-t) (differentiating
 numerically would lose the (t-a)**(-alpha) edge blow-up), and with
@@ -63,7 +64,7 @@ from functools import lru_cache
 import numpy as np
 
 from .funcspec import FuncSpec
-from .opmatrix import cached, kop_end_rows, kop_matrix
+from .opmatrix import cached, kop_pair
 from .pset import ParameterSet, real, standard_left, standard_right
 from .quadrature import (
     DEFAULT_RULE,
@@ -223,9 +224,9 @@ def _terms(kern, rect, rule, *specs) -> list[float]:
     """Each ``(halves, axis, u, v, deriv, ends)`` of ``specs`` as a sum of w <K_half, S>.
 
     That is iint u (K_P v), or with ``ends`` the jump J(u, v; P, axis).
-    The check fetches each half's mesh rows and end rows at most once, so
-    a half too large for the cache is assembled once per check, not once
-    per term.
+    The check fetches each half's pair (mesh rows, end rows) at most once,
+    so a half the cache does not keep is assembled once per check, not
+    once per term, and counts as one request toward its admission.
     """
     moments = [_moment(axis, u, v, rect, rule, deriv, ends) for _, axis, u, v, deriv, ends in specs]
     fetched = {}
@@ -234,10 +235,9 @@ def _terms(kern, rect, rule, *specs) -> list[float]:
         total = 0.0
         for weight, half in halves:
             if weight != 0.0:
-                if (half, ends) not in fetched:
-                    fetch = kop_end_rows if ends else kop_matrix
-                    fetched[half, ends] = fetch(half, kern, rule)
-                total += weight * float(np.vdot(fetched[half, ends], S))
+                if half not in fetched:
+                    fetched[half] = kop_pair(half, kern, rule)
+                total += weight * float(np.vdot(fetched[half][ends], S))
         values.append(total)
     return values
 

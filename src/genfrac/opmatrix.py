@@ -22,8 +22,16 @@ mesh need not be symmetric.
 
 The matrices live in one least-recently-used cache, shared with the
 moment matrices of :mod:`genfrac.identities` and bounded by their total
-bytes (``_CACHE_BYTES``).  Cached arrays are read-only, so a caller
-cannot corrupt a later check by writing into one.
+bytes (``_CACHE_BYTES``).  A pair (mesh rows, end rows) is kept from the
+second request for its key on (:func:`kop_pair`): the first request
+assembles it, hands it back and records the key alone, in a record of
+the last 128 such keys (``_ASKED``).  A research sweep over fresh orders
+asks for each pair once, so its pairs push out no moment; a pair that a
+second check asks for is assembled again and kept, and from then on a
+hit returns the same object.  Moments are kept on their first request.
+Arrays, kept or not, are read-only, so a caller cannot corrupt a later
+check by writing into one.  Each cache counts its hits, misses,
+evictions and refusals (values built but not kept).
 
 What an assembly needs of its mesh whatever the kernel is kept apart,
 per (p-set, rule), in a cache of its own (``_TABLES``), so that it never
@@ -87,7 +95,14 @@ from typing import NamedTuple
 import numpy as np
 
 from .pset import ParameterSet
-from .quadrature import Mesh, QuadratureRule, Walk, convolution_rows, convolution_walk
+from .quadrature import (
+    _SIGMA_CACHE_SIZE,
+    Mesh,
+    QuadratureRule,
+    Walk,
+    convolution_rows,
+    convolution_walk,
+)
 from .specfun import Kernel
 
 __all__ = ["kop_matrix", "kop_end_rows", "clear_matrix_cache"]
@@ -114,37 +129,49 @@ _BLOCK = 256
 
 
 class _Lru(OrderedDict):
-    """key -> (value, nbytes), least recently used first; ``total`` is their bytes."""
+    """key -> (value, nbytes), least recently used first; ``total`` is their bytes.
 
-    total = 0
+    ``hits``, ``misses``, ``evictions`` and ``refusals`` (values built but
+    not kept) count what :meth:`fetch` did since the last :meth:`clear`.
+    """
 
-    def fetch(self, key, build, budget: int):
+    total = hits = misses = evictions = refusals = 0
+
+    def fetch(self, key, build, budget: int, admit=None):
         """The value under ``key``, else ``build()``, kept while the total allows.
 
         The least recently used entries go when the total passes
         ``budget``, and a value larger than that is returned but not kept.
+        So is one for which ``admit(key)``, asked once it is built, is
+        false.
         """
         hit = self.get(key)
         if hit is not None:
+            self.hits += 1
             self.move_to_end(key)
             return hit[0]
+        self.misses += 1
         value = build()
         size = _seal(value)
-        if size <= budget:
-            self[key] = (value, size)
-            self.total += size
-            while self.total > budget:
-                _, (_, old) = self.popitem(last=False)
-                self.total -= old
+        if size > budget or not (admit is None or admit(key)):
+            self.refusals += 1
+            return value
+        self[key] = (value, size)
+        self.total += size
+        while self.total > budget:
+            _, (_, old) = self.popitem(last=False)
+            self.total -= old
+            self.evictions += 1
         return value
 
     def clear(self) -> None:
         super().clear()
-        self.total = 0
+        self.total = self.hits = self.misses = self.evictions = self.refusals = 0
 
 
 _CACHE = _Lru()  # operator matrices and moments
 _TABLES = _Lru()  # the kernel-free mesh tables of _table
+_ASKED = OrderedDict()  # keys of matrix pairs asked for once and not kept, oldest first
 
 
 def _seal(value) -> int:
@@ -159,10 +186,11 @@ def _seal(value) -> int:
 
 
 def clear_matrix_cache() -> None:
-    """Empty the shared cache (operator matrices and moments), the mesh tables and the meshes."""
+    """Empty the shared cache (matrices and moments), its key record, the mesh tables and meshes."""
     Mesh.of.cache_clear()
     _TABLES.clear()
     _CACHE.clear()
+    _ASKED.clear()
 
 
 def cached(key, build):
@@ -357,10 +385,33 @@ def _assemble(pset: ParameterSet, kernel: Kernel, rule: QuadratureRule):
     return M[1:-1], M[[0, -1]]
 
 
-def _matrices(pset: ParameterSet, kernel: Kernel, rule: QuadratureRule):
-    """The pair (mesh rows, end rows), cached if the kernel has a key; a miss assembles it here."""
-    key = None if kernel.cache_key is None else ("kop", pset.as_tuple(), kernel.cache_key, rule)
-    return cached(key, lambda: _assemble(pset, kernel, rule))
+def _asked_before(key) -> bool:
+    """True if ``key`` was asked for once before, and is then taken off the record.
+
+    Otherwise the key goes on the record (``_ASKED``), which holds keys,
+    never values, and drops its oldest past ``_SIGMA_CACHE_SIZE`` of them.
+    """
+    if _ASKED.pop(key, False):
+        return True
+    _ASKED[key] = True
+    if len(_ASKED) > _SIGMA_CACHE_SIZE:
+        _ASKED.popitem(last=False)
+    return False
+
+
+def kop_pair(pset: ParameterSet, kernel: Kernel, rule: QuadratureRule):
+    """The pair (mesh rows, end rows) of K_P; a miss assembles it here.
+
+    The pair is kept in the shared cache from the second request for its
+    key (p-set, ``kernel.cache_key``, rule) on, so that an order asked
+    for once, as a research sweep does, pushes out no moment.  A kernel
+    without a key is assembled on every call.
+    """
+    build = lambda: _assemble(pset, kernel, rule)
+    if kernel.cache_key is None:
+        return cached(None, build)
+    key = ("kop", pset.as_tuple(), kernel.cache_key, rule)
+    return _CACHE.fetch(key, build, _CACHE_BYTES, _asked_before)
 
 
 def kop_matrix(pset: ParameterSet, kernel: Kernel, rule: QuadratureRule) -> np.ndarray:
@@ -368,13 +419,15 @@ def kop_matrix(pset: ParameterSet, kernel: Kernel, rule: QuadratureRule) -> np.n
 
     The mesh is ``composite_nodes(pset.a, pset.b, rule)``.  Results are
     kept in the one byte-bounded cache of this module, per (p-set,
-    ``kernel.cache_key``, rule); a cache hit returns the same read-only
-    array object.  A kernel without a key is assembled on every call,
-    on the kept mesh table.
+    ``kernel.cache_key``, rule), from the second request on: the first
+    one assembles the matrix and keeps only its key, so the second
+    assembles it again.  A cache hit returns the same read-only array
+    object.  A kernel without a key is assembled on every call, on the
+    kept mesh table.
     """
-    return _matrices(pset, kernel, rule)[0]
+    return kop_pair(pset, kernel, rule)[0]
 
 
 def kop_end_rows(pset: ParameterSet, kernel: Kernel, rule: QuadratureRule) -> np.ndarray:
     """2 x N matrix E with ((K v)(a), (K v)(b)) ~ E @ v(nodes), same mesh and cache."""
-    return _matrices(pset, kernel, rule)[1]
+    return kop_pair(pset, kernel, rule)[1]

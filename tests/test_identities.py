@@ -23,7 +23,13 @@ from genfrac.opmatrix import clear_matrix_cache, kop_end_rows, kop_matrix
 from genfrac.ops1d import OperatorRequest
 from genfrac.ops2d import PartialRequest, partial_kop
 from genfrac.pset import ParameterSet, standard_left, standard_right
-from genfrac.quadrature import NonFiniteSampleError, QuadratureRule, Rectangle, integrate_2d
+from genfrac.quadrature import (
+    _SIGMA_CACHE_SIZE,
+    NonFiniteSampleError,
+    QuadratureRule,
+    Rectangle,
+    integrate_2d,
+)
 from genfrac.specfun import Kernel, KernelFamily, rl_family, rl_kernel, tempered_family
 
 IBP_CONST_BOTH_SIDES = 1.5045055561273500985  # 4 / (3 gamma(3/2))
@@ -463,6 +469,26 @@ def test_plugged_kernels_that_share_a_label_share_no_matrix(monkeypatch):
     clear_matrix_cache()
 
 
+def test_a_keyless_green_check_assembles_each_half_once(monkeypatch):
+    # a half that is not kept is fetched once per check, as the pair of its
+    # mesh rows and end rows, so a Green check, which reads both, assembles
+    # it once
+    made = []
+    assemble = opmatrix._assemble
+    monkeypatch.setattr(
+        opmatrix, "_assemble", lambda *a: made.append(a[0].as_tuple()) or assemble(*a)
+    )
+    mixed = ParameterSet(0.0, 1.0, 0.3, 0.7)
+    args = (e2("t1+t2"), e2("t1*t2"), e2("t1^2"), 0.5, mixed, mixed, _scaled_power_family(1.0))
+    clear_matrix_cache()
+    for _ in range(2):
+        made.clear()
+        verify_green(*args, RECT)
+        assert sorted(made) == UNIT_HALVES
+    assert not any(key[0] == "kop" for key in opmatrix._CACHE)
+    clear_matrix_cache()
+
+
 # a nonzero weight below the smallest normal double is refused by ParameterSet
 _weight = st.one_of(st.just(0.0), st.floats(0.0, 2.0, allow_subnormal=False))
 
@@ -555,14 +581,16 @@ def test_nonfinite_grid_raises_on_every_call():
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_a_check_that_raises_leaves_no_pending_build(monkeypatch):
-    # a grid that raises comes before any assembly; a kernel that raises in
-    # the second half's assembly keeps only the finished first half
+    # a grid that raises comes before any assembly, on every check; a
+    # kernel that raises in the second half's assembly, on a check that
+    # asks for both halves a second time, keeps only the finished first half
     rule = QuadratureRule(panels=16)
     args = (e2("t1"), e2("log(t1-0.5)"), e2("t2"), e2("t1"), 0.45, LEFT1, LEFT1, RL, RECT)
     for check in (verify_ibp_2d, lambda *a: verify_green(*a[:3], *a[4:])):
         clear_matrix_cache()
-        with pytest.raises(NonFiniteSampleError):
-            check(*args, rule)
+        for _ in range(2):
+            with pytest.raises(NonFiniteSampleError):
+                check(*args, rule)
         assert not any(key[0] == "kop" for key in opmatrix._CACHE)
     made = []
     assemble = opmatrix._assemble
@@ -577,9 +605,10 @@ def test_a_check_that_raises_leaves_no_pending_build(monkeypatch):
             kern = dataclasses.replace(kern, evaluate=raising)
         return assemble(pset, kern, rule)
 
-    monkeypatch.setattr(opmatrix, "_assemble", spy)
     specs = [e2(s) for s in QUAD[:3]]
     clear_matrix_cache()
+    verify_green(*specs, 0.4, LEFT1, LEFT1, RL, RECT, rule)
+    monkeypatch.setattr(opmatrix, "_assemble", spy)
     with pytest.raises(KeyError):
         verify_green(*specs, 0.4, LEFT1, LEFT1, RL, RECT, rule)
     monkeypatch.undo()
@@ -587,7 +616,7 @@ def test_a_check_that_raises_leaves_no_pending_build(monkeypatch):
     (key,) = [key for key in opmatrix._CACHE if key[0] == "kop"]
     got = opmatrix._CACHE[key][0]
     clear_matrix_cache()
-    for cold, warm in zip(opmatrix._matrices(LEFT1, rl_kernel(0.6), rule), got):
+    for cold, warm in zip(opmatrix.kop_pair(LEFT1, rl_kernel(0.6), rule), got):
         np.testing.assert_array_equal(cold, warm)
     clear_matrix_cache()
 
@@ -645,11 +674,16 @@ def test_every_pset_on_the_interval_shares_the_two_halves(identity):
             return verify_ibp_2d(*specs, 0.4, p1, p2, RL, RECT, rule)
         return verify_green(*specs[:3], 0.4, p1, p2, RL, RECT, rule)
 
+    # one check keeps no half; a second keeps the two it asked for again
     clear_matrix_cache()
+    check((0.3, 0.7), (0.5, 0.5))
+    assert _kop_psets() == []
     check((0.3, 0.7), (0.5, 0.5))
     assert _kop_psets() == UNIT_HALVES
     # a left p-set's dual is a right one, so a left check needs both halves
     clear_matrix_cache()
+    check((1.0, 0.0), (1.0, 0.0))
+    assert _kop_psets() == []
     check((1.0, 0.0), (1.0, 0.0))
     assert _kop_psets() == UNIT_HALVES
     for w1, w2 in (((0.0, 1.0), (0.0, 1.0)), ((0.3, 0.7), (0.5, 0.5)), ((2.0, -0.5), (0.8, 0.2))):
@@ -663,9 +697,9 @@ def test_a_zero_weight_skips_its_half(monkeypatch):
 
     def spy(pset, kern, rule):
         fetched.append(pset.as_tuple())
-        return kop_matrix(pset, kern, rule)
+        return opmatrix.kop_pair(pset, kern, rule)
 
-    monkeypatch.setattr(identities, "kop_matrix", spy)
+    monkeypatch.setattr(identities, "kop_pair", spy)
     rule = QuadratureRule(order_per_panel=8, panels=4)
     specs = [e2(s) for s in QUAD]
     right, left = UNIT_HALVES
@@ -686,8 +720,9 @@ def test_a_zero_weight_skips_its_half(monkeypatch):
 @pytest.mark.parametrize("identity", ["ibp2d", "green"])
 def test_a_half_over_the_budget_is_assembled_once_per_fetch(monkeypatch, identity):
     # at 16x8 a half is 130 x 128 doubles, 133 kB: over a 100 kB budget it
-    # is never kept, so each check assembles its halves again, but only
-    # once for the mesh rows and once for the end rows of each
+    # is never kept, even when a second check asks for it, so each check
+    # assembles its halves again, but only once each, for the mesh rows
+    # and the end rows together
     made = []
     assemble = opmatrix._assemble
 
@@ -700,13 +735,14 @@ def test_a_half_over_the_budget_is_assembled_once_per_fetch(monkeypatch, identit
     clear_matrix_cache()
     mixed = ParameterSet(0.0, 1.0, 0.3, 0.7)
     specs = [e2(s) for s in QUAD]
-    if identity == "ibp2d":
-        verify_ibp_2d(*specs, 0.4, mixed, mixed, RL, RECT)
-        assert sorted(made) == UNIT_HALVES  # no end rows in this check
-    else:
-        verify_green(*specs[:3], 0.4, mixed, mixed, RL, RECT)
-        assert sorted(made) == sorted(UNIT_HALVES * 2)
-    assert not any(key[0] == "kop" for key in opmatrix._CACHE)
+    for _ in range(2):
+        made.clear()
+        if identity == "ibp2d":
+            verify_ibp_2d(*specs, 0.4, mixed, mixed, RL, RECT)
+        else:
+            verify_green(*specs[:3], 0.4, mixed, mixed, RL, RECT)
+        assert sorted(made) == UNIT_HALVES
+        assert not any(key[0] == "kop" for key in opmatrix._CACHE)
     clear_matrix_cache()
 
 
@@ -714,6 +750,8 @@ def test_fresh_specs_of_the_same_texts_add_no_grids_or_moments():
     rule = QuadratureRule(order_per_panel=8, panels=4)
     clear_matrix_cache()
     first = _both([e2(s) for s in QUAD], RECT, rule)
+    # the halves are kept from the second pass on
+    assert _both([e2(s) for s in QUAD], RECT, rule) == first
     keys = set(opmatrix._CACHE)
     # a moment samples its two grids and keeps neither
     assert not any(key[0] == "grid" for key in keys)
@@ -752,6 +790,108 @@ def test_a_sweep_keeps_every_moment_of_the_corpus_quadruples(monkeypatch):
         made.clear()
         sweep(0.55 + 0.04 * np.arange(8))
         assert [tag for tag in made if tag[0] in ("moment", "jump")] == []
+    finally:
+        clear_matrix_cache()
+
+
+# four function triples (f, g, eta) beside the corpus's, for a sweep over twelve
+SWEEP_EXTRA = (
+    ("t1^2+t2", "exp(t1*t2)", "cos(t1)+t2"),
+    ("sin(t1)*cos(t2)", "1+t1^2*t2", "exp(-t1)*t2^2"),
+    ("t2*exp(t1)", "t1-t2^3", "sin(t1*t2)+1"),
+    ("cos(2*t2)+t1", "t1^3*t2", "t1*t2*(1+t2)"),
+)
+
+
+def test_a_sweep_over_twelve_quadruples_rebuilds_no_moment(monkeypatch):
+    # twelve quadruples at 128, 256 and 512 nodes have 288 moments, 126.7
+    # MiB: they fit the shared cache only if the halves of the fresh
+    # orders, each asked for by one check, are not kept.  A second sweep
+    # at fresh orders then builds none of them.
+    made = []
+
+    def spy(key, build):
+        if key is not None and key not in opmatrix._CACHE:
+            made.append(key[0][0])
+        return cached(key, build)
+
+    cached = identities.cached
+    monkeypatch.setattr(identities, "cached", spy)
+    rules = [QuadratureRule(panels=n) for n in (8, 16, 32)]
+    P = ParameterSet(0.0, 1.0, 0.3, 0.7)
+    triples = [(fns["f"], fns["g"], fns["eta1"]) for fns in CORPUS_FUNCTIONS] + list(SWEEP_EXTRA)
+
+    def sweep(alphas):
+        for (f, g, eta), alpha in zip(triples, alphas, strict=True):
+            inputs = dict(
+                f=e2(f), g=e2(g), eta=e2(eta), alpha=alpha, p1=P, p2=P, kernel=RL, rect=RECT
+            )
+            convergence_study("green", inputs, rules)
+
+    clear_matrix_cache()
+    try:
+        sweep(0.12 + 0.06 * np.arange(12))
+        assert made.count("moment") + made.count("jump") == 12 * 3 * 8
+        made.clear()
+        sweep(0.15 + 0.06 * np.arange(12))
+        assert made.count("moment") + made.count("jump") == 0
+    finally:
+        clear_matrix_cache()
+
+
+def _counters(cache):
+    return cache.hits, cache.misses, cache.evictions, cache.refusals
+
+
+def test_a_third_identical_check_is_all_hits(monkeypatch):
+    # a mixed Green check on the unit square reads 8 moments and both halves
+    # of [0, 1].  The first check keeps its moments but not the halves (two
+    # refusals), the second assembles the halves again and keeps them, and
+    # the third reads all ten and assembles nothing.
+    made = []
+    assemble = opmatrix._assemble
+    monkeypatch.setattr(opmatrix, "_assemble", lambda *a: made.append(a[0]) or assemble(*a))
+    rule = QuadratureRule(order_per_panel=8, panels=4)
+    mixed = ParameterSet(0.0, 1.0, 0.3, 0.7)
+    specs = [e2(s) for s in QUAD[:3]]
+    clear_matrix_cache()
+    assert _counters(opmatrix._CACHE) == _counters(opmatrix._TABLES) == (0, 0, 0, 0)
+    seen = []
+    for _ in range(3):
+        made.clear()
+        verify_green(*specs, 0.4, mixed, mixed, RL, RECT, rule)
+        seen.append((len(made), _counters(opmatrix._CACHE), _counters(opmatrix._TABLES)))
+    assert seen == [
+        (2, (0, 10, 0, 2), (0, 2, 0, 0)),
+        (2, (8, 12, 0, 2), (2, 2, 0, 0)),
+        (0, (18, 12, 0, 2), (2, 2, 0, 0)),
+    ]
+    clear_matrix_cache()
+    assert _counters(opmatrix._CACHE) == _counters(opmatrix._TABLES) == (0, 0, 0, 0)
+
+
+def test_the_record_of_keys_asked_once_stays_bounded():
+    # 300 checks, each at a fresh order, ask for 600 halves once: the record
+    # keeps at most its bound of keys, the cache keeps no half, and its
+    # bytes are those of the 8 moments (4 of 32 x 32, 4 jumps of 2 x 32)
+    rule = QuadratureRule(order_per_panel=8, panels=4)
+    mixed = ParameterSet(0.0, 1.0, 0.3, 0.7)
+    specs = [e2(s) for s in QUAD[:3]]
+    alphas = 0.1 + 0.8 * np.arange(300) / 300
+
+    def halves_kept_by(alpha):
+        verify_green(*specs, alpha, mixed, mixed, RL, RECT, rule)
+        return _kop_psets()
+
+    clear_matrix_cache()
+    try:
+        assert all(halves_kept_by(alpha) == [] for alpha in alphas)
+        assert len(opmatrix._ASKED) <= _SIGMA_CACHE_SIZE
+        assert len(opmatrix._CACHE) == 8
+        assert opmatrix._CACHE.total == 8 * (4 * 32 * 32 + 4 * 2 * 32)
+        # the first order's keys have left the record, the last order's not
+        assert halves_kept_by(alphas[0]) == []
+        assert halves_kept_by(alphas[-1]) == UNIT_HALVES
     finally:
         clear_matrix_cache()
 

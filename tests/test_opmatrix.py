@@ -49,7 +49,11 @@ def test_end_rows_match_kop_at_the_ends(kernel, interval, weights):
 def test_cache_hit_returns_the_same_array():
     P = ParameterSet(0.0, 1.0, 0.5, 0.5)
     kern = rl_family().instantiate(0.3)
+    clear_matrix_cache()
+    first = kop_matrix(P, kern, RULE)  # assembled, and only its key kept
     M = kop_matrix(P, kern, RULE)
+    assert M is not first
+    np.testing.assert_array_equal(M, first)
     assert kop_matrix(P, kern, RULE) is M
     assert kop_end_rows(P, kern, RULE) is kop_end_rows(P, kern, RULE)
 
@@ -174,7 +178,8 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _pair(P, kern, rule):
-    return np.array(kop_matrix(P, kern, rule)), np.array(kop_end_rows(P, kern, rule))
+    """Copies of the half's (mesh rows, end rows), fetched as one request."""
+    return tuple(map(np.array, opmatrix.kop_pair(P, kern, rule)))
 
 
 def test_cold_assemblies_are_bitwise_equal():
@@ -198,6 +203,7 @@ def test_an_assembly_builds_each_uncached_key_once(monkeypatch):
     clear_matrix_cache()
     want = _pair(right, kern, rule)
     clear_matrix_cache()
+    kop_matrix(left, kern, rule)  # the first request keeps only the key
     kept = kop_matrix(left, kern, rule)
     made = []
     assemble = opmatrix._assemble
@@ -212,11 +218,13 @@ def test_an_assembly_builds_each_uncached_key_once(monkeypatch):
     rect = Rectangle(0.0, 1.0, 0.0, 1.0)
     verify_green(*specs, 0.75, mixed, mixed, rl_family(), rect, rule)
     assert made == [right.as_tuple()]
+    # the second request for the right half assembles it again, and keeps it
     for got, w in zip(_pair(right, kern, rule), want):
         np.testing.assert_array_equal(got, w)
+    assert made == [right.as_tuple()] * 2
     assert kop_matrix(left, kern, rule) is kept
     verify_green(*specs, 0.75, mixed, mixed, rl_family(), rect, rule)
-    assert made == [right.as_tuple()]  # the second check reads the cache
+    assert made == [right.as_tuple()] * 2  # the second check reads the cache
     clear_matrix_cache()
 
 
