@@ -64,7 +64,7 @@ from functools import lru_cache
 import numpy as np
 
 from .funcspec import FuncSpec
-from .opmatrix import cached, kop_pair
+from .opmatrix import cached, kop_pair, recall, remember
 from .pset import ParameterSet, real, standard_left, standard_right
 from .quadrature import (
     DEFAULT_RULE,
@@ -220,24 +220,49 @@ def _sides(pset: ParameterSet):
     return ((pset.p, left), (pset.q, right)), ((pset.q, left), (pset.p, right))
 
 
+def _contract(K: np.ndarray, S: np.ndarray) -> float:
+    """The Frobenius product <K, S>."""
+    return float(np.vdot(K, S))
+
+
 def _terms(kern, rect, rule, *specs) -> list[float]:
     """Each ``(halves, axis, u, v, deriv, ends)`` of ``specs`` as a sum of w <K_half, S>.
 
     That is iint u (K_P v), or with ``ends`` the jump J(u, v; P, axis).
-    The check fetches each half's pair (mesh rows, end rows) at most once,
-    so a half the cache does not keep is assembled once per check, not
-    once per term, and counts as one request toward its admission.
+    A value <K_half, S> kept with its half is read back.  The others take,
+    in this order, the moments of the terms that lack a value, the halves
+    (each fetched at most once, so a half the cache does not keep is
+    assembled once per check and counts as one request toward its
+    admission) and the contractions, whose values are then kept with
+    their half if the cache keeps it.
     """
-    moments = [_moment(axis, u, v, rect, rule, deriv, ends) for _, axis, u, v, deriv, ends in specs]
+    # a value's key among those of its half, whose pair's key holds the
+    # kernel and the rule; a spec without a cache_key has none
+    corners = (rect.a1, rect.b1, rect.a2, rect.b2)
+    keys = [
+        None if u.cache_key is None or v.cache_key is None
+        else (ends, axis, u.cache_key, v.cache_key, deriv, corners)
+        for _, axis, u, v, deriv, ends in specs
+    ]
+    parts = [[(w, half) for w, half in halves if w != 0.0] for halves, *_ in specs]
+    found = iter(recall(kern, rule, [(half, key) for ps, key in zip(parts, keys) for _, half in ps]))
+    known = [[next(found) for _ in ps] for ps in parts]
+    moments = {
+        i: _moment(axis, u, v, rect, rule, deriv, ends)
+        for i, (row, (_, axis, u, v, deriv, ends)) in enumerate(zip(known, specs))
+        if None in row
+    }
     fetched = {}
     values = []
-    for (halves, _, _, _, _, ends), S in zip(specs, moments):
+    for i, (ps, row, (*_, ends)) in enumerate(zip(parts, known, specs)):
         total = 0.0
-        for weight, half in halves:
-            if weight != 0.0:
+        for (weight, half), value in zip(ps, row):
+            if value is None:
                 if half not in fetched:
                     fetched[half] = kop_pair(half, kern, rule)
-                total += weight * float(np.vdot(fetched[half][ends], S))
+                value = _contract(fetched[half][ends], moments[i])
+                remember(half, kern, rule, keys[i], value)
+            total += weight * value
         values.append(total)
     return values
 

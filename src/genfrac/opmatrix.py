@@ -132,10 +132,12 @@ class _Lru(OrderedDict):
     """key -> (value, nbytes), least recently used first; ``total`` is their bytes.
 
     ``hits``, ``misses``, ``evictions`` and ``refusals`` (values built but
-    not kept) count what :meth:`fetch` did since the last :meth:`clear`.
+    not kept) count what :meth:`fetch` did since the last :meth:`clear`;
+    ``value_hits`` and ``value_misses`` count the contraction values
+    :func:`recall` found kept with a pair, and those it did not.
     """
 
-    total = hits = misses = evictions = refusals = 0
+    total = hits = misses = evictions = refusals = value_hits = value_misses = 0
 
     def fetch(self, key, build, budget: int, admit=None):
         """The value under ``key``, else ``build()``, kept while the total allows.
@@ -167,6 +169,7 @@ class _Lru(OrderedDict):
     def clear(self) -> None:
         super().clear()
         self.total = self.hits = self.misses = self.evictions = self.refusals = 0
+        self.value_hits = self.value_misses = 0
 
 
 _CACHE = _Lru()  # operator matrices and moments
@@ -399,6 +402,22 @@ def _asked_before(key) -> bool:
     return False
 
 
+class _Pair(tuple):
+    """A half's (mesh rows, end rows); ``values`` maps a moment's key to its contraction with them."""
+
+    def __new__(cls, rows, ends):
+        pair = super().__new__(cls, (rows, ends))
+        pair.values = {}
+        return pair
+
+
+def _pair_key(pset: ParameterSet, kernel: Kernel, rule: QuadratureRule):
+    """The shared-cache key of the half's pair; None for a kernel without a key."""
+    if kernel.cache_key is None:
+        return None
+    return ("kop", pset.as_tuple(), kernel.cache_key, rule)
+
+
 def kop_pair(pset: ParameterSet, kernel: Kernel, rule: QuadratureRule):
     """The pair (mesh rows, end rows) of K_P; a miss assembles it here.
 
@@ -407,11 +426,54 @@ def kop_pair(pset: ParameterSet, kernel: Kernel, rule: QuadratureRule):
     for once, as a research sweep does, pushes out no moment.  A kernel
     without a key is assembled on every call.
     """
-    build = lambda: _assemble(pset, kernel, rule)
-    if kernel.cache_key is None:
+    build = lambda: _Pair(*_assemble(pset, kernel, rule))
+    key = _pair_key(pset, kernel, rule)
+    if key is None:
         return cached(None, build)
-    key = ("kop", pset.as_tuple(), kernel.cache_key, rule)
     return _CACHE.fetch(key, build, _CACHE_BYTES, _asked_before)
+
+
+def _kept_values(pset: ParameterSet, kernel: Kernel, rule: QuadratureRule):
+    """The values kept with the half's pair, or None if the cache keeps no pair for it.
+
+    A peek: it builds nothing and counts no hit or miss, but makes the
+    pair the most recently used, since a check reads it through them.
+    """
+    key = _pair_key(pset, kernel, rule)
+    entry = None if key is None else _CACHE.get(key)
+    if entry is None:
+        return None
+    _CACHE.move_to_end(key)
+    return entry[0].values
+
+
+def recall(kernel: Kernel, rule: QuadratureRule, wanted) -> list:
+    """For each ``(half, key)`` of ``wanted``, the value kept with the half's pair under key.
+
+    None stands for each value not kept, and for every key that is None.
+    Builds and fetches nothing; counts the values found and not found.
+    """
+    kept = {}
+    found = []
+    for half, key in wanted:
+        values = kept.get(half)
+        if values is None:
+            values = kept[half] = _kept_values(half, kernel, rule) or {}
+        found.append(values.get(key))
+    hits = len(found) - found.count(None)
+    _CACHE.value_hits += hits
+    _CACHE.value_misses += len(found) - hits
+    return found
+
+
+def remember(pset: ParameterSet, kernel: Kernel, rule: QuadratureRule, key, value) -> None:
+    """Keep ``value`` under the moment's ``key`` with the half's pair, if the cache keeps that pair.
+
+    A key of None, or a pair the cache does not keep, keeps nothing.
+    """
+    values = _kept_values(pset, kernel, rule)
+    if values is not None and key is not None:
+        values[key] = value
 
 
 def kop_matrix(pset: ParameterSet, kernel: Kernel, rule: QuadratureRule) -> np.ndarray:

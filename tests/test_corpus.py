@@ -1,9 +1,12 @@
 """The corpus against the reference values the benchmark checks it with."""
 
 import json
+from collections import Counter
 from pathlib import Path
 
-from genfrac.corpus import run_corpus
+from genfrac import identities, opmatrix
+from genfrac.corpus import corpus_json, run_corpus
+from genfrac.opmatrix import clear_matrix_cache
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "corpus_reference.json"
 RTOL = 1e-12
@@ -21,3 +24,28 @@ def test_corpus_matches_reference():
                 # scale of the identity's left side
                 tol = RTOL * (abs(want[term]) or abs(want["lhs"]))
                 assert abs(got[term] - want[term]) <= tol, (i, identity, term)
+
+
+def test_a_warm_corpus_pass_builds_assembles_and_contracts_nothing(monkeypatch):
+    # the first pass keeps the value <K_half, S> of every (half, moment)
+    # pair of the corpus with its half: the mixed p-sets contract every
+    # one, on halves kept by then.  Later passes read those values alone.
+    calls = Counter()
+
+    def spy(module, name):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args: calls.update([name]) or real(*args))
+
+    spy(opmatrix, "_assemble")
+    spy(identities, "_moment")
+    spy(identities, "_contract")
+    clear_matrix_cache()
+    try:
+        first = corpus_json()
+        assert calls["_assemble"] == 24 and calls["_contract"] > 0
+        for _ in range(2):
+            calls.clear()
+            assert corpus_json() == first
+            assert calls == Counter()
+    finally:
+        clear_matrix_cache()

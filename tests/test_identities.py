@@ -1,7 +1,9 @@
 """Identity verification: residuals, special cases, reports, convergence."""
 
 import dataclasses
+import itertools
 import json
+from functools import partial
 
 import numpy as np
 import pytest
@@ -693,6 +695,7 @@ def test_every_pset_on_the_interval_shares_the_two_halves(identity):
 
 
 def test_a_zero_weight_skips_its_half(monkeypatch):
+    clear_matrix_cache()
     fetched = []
 
     def spy(pset, kern, rule):
@@ -843,31 +846,157 @@ def _counters(cache):
     return cache.hits, cache.misses, cache.evictions, cache.refusals
 
 
+def _values(cache):
+    return cache.value_hits, cache.value_misses
+
+
 def test_a_third_identical_check_is_all_hits(monkeypatch):
     # a mixed Green check on the unit square reads 8 moments and both halves
-    # of [0, 1].  The first check keeps its moments but not the halves (two
-    # refusals), the second assembles the halves again and keeps them, and
-    # the third reads all ten and assembles nothing.
-    made = []
-    assemble = opmatrix._assemble
+    # of [0, 1], in 16 half-terms.  The first check keeps its moments but not
+    # the halves (two refusals), so no value either; the second assembles
+    # the halves again and keeps them, with the 16 values it contracts.  The
+    # third reads those 16 values alone: it looks nothing up in the shared
+    # cache, and builds, assembles and contracts nothing.
+    made, looked_up, contracted = [], [], []
+    assemble, cached, contract = opmatrix._assemble, identities.cached, identities._contract
     monkeypatch.setattr(opmatrix, "_assemble", lambda *a: made.append(a[0]) or assemble(*a))
+    monkeypatch.setattr(identities, "cached", lambda *a: looked_up.append(a[0]) or cached(*a))
+    monkeypatch.setattr(identities, "_contract", lambda *a: contracted.append(1) or contract(*a))
     rule = QuadratureRule(order_per_panel=8, panels=4)
     mixed = ParameterSet(0.0, 1.0, 0.3, 0.7)
     specs = [e2(s) for s in QUAD[:3]]
     clear_matrix_cache()
     assert _counters(opmatrix._CACHE) == _counters(opmatrix._TABLES) == (0, 0, 0, 0)
+    assert _values(opmatrix._CACHE) == (0, 0)
     seen = []
     for _ in range(3):
-        made.clear()
+        made.clear(), looked_up.clear(), contracted.clear()
         verify_green(*specs, 0.4, mixed, mixed, RL, RECT, rule)
-        seen.append((len(made), _counters(opmatrix._CACHE), _counters(opmatrix._TABLES)))
+        seen.append(
+            (
+                (len(made), len(looked_up), len(contracted)),
+                _counters(opmatrix._CACHE),
+                _values(opmatrix._CACHE),
+                _counters(opmatrix._TABLES),
+            )
+        )
     assert seen == [
-        (2, (0, 10, 0, 2), (0, 2, 0, 0)),
-        (2, (8, 12, 0, 2), (2, 2, 0, 0)),
-        (0, (18, 12, 0, 2), (2, 2, 0, 0)),
+        ((2, 8, 16), (0, 10, 0, 2), (0, 16), (0, 2, 0, 0)),
+        ((2, 8, 16), (8, 12, 0, 2), (0, 32), (2, 2, 0, 0)),
+        ((0, 0, 0), (8, 12, 0, 2), (16, 32), (2, 2, 0, 0)),
     ]
     clear_matrix_cache()
     assert _counters(opmatrix._CACHE) == _counters(opmatrix._TABLES) == (0, 0, 0, 0)
+    assert _values(opmatrix._CACHE) == (0, 0)
+
+
+def _kept_values():
+    """Each kept half's p-set, with the number of values kept with it."""
+    return sorted(
+        (key[1], len(pair.values)) for key, (pair, _) in opmatrix._CACHE.items() if key[0] == "kop"
+    )
+
+
+@pytest.mark.parametrize("weights", [(1.0, 0.0), (0.3, 0.7)], ids=["left", "mixed"])
+def test_warm_reports_equal_cold_ones_bit_for_bit(weights):
+    # at alpha = 0.5 the IBP and Green checks share their kernel, and with
+    # eta = eta1 an IBP moment and a Green jump pair the same functions
+    # along the same axis.  With f = g and eta1 = eta2, terms along axis 1
+    # and along axis 2 do too, on the square.  Two rules, and two
+    # rectangles that share axis 1, share every function.  A value read
+    # back for the wrong term, axis, rule or rectangle moves a bit of some
+    # report.
+    rules = [QuadratureRule(order_per_panel=8, panels=n) for n in (4, 5)]
+    checks = []
+    for fns in (QUAD, ("t1*t2+t1", "t1*t2+t1", "sin(t1)*t2", "sin(t1)*t2")):
+        f, g, eta1, eta2 = (e2(s) for s in fns)
+        for rect, rule in itertools.product((RECT, Rectangle(0.0, 1.0, 0.0, 2.0)), rules):
+            P1, P2 = (ParameterSet(a, b, *weights) for a, b in (rect.axis1, rect.axis2))
+            checks.append(partial(verify_ibp_2d, f, g, eta1, eta2, 0.5, P1, P2, RL, rect, rule))
+            checks.append(partial(verify_green, f, g, eta1, 0.5, P1, P2, RL, rect, rule))
+    texts = lambda reports: [json.dumps(r.to_json_dict()) for r in reports]
+    cold = []
+    for check in checks:
+        clear_matrix_cache()
+        cold.append(check())
+    clear_matrix_cache()
+    try:
+        for _ in range(3):
+            assert texts(check() for check in checks) == texts(cold)
+        assert opmatrix._CACHE.value_hits > 0
+    finally:
+        clear_matrix_cache()
+
+
+def test_no_value_is_kept_without_a_kept_half_and_keys(monkeypatch):
+    rule = QuadratureRule(order_per_panel=8, panels=4)
+    mixed = ParameterSet(0.0, 1.0, 0.3, 0.7)
+    specs = [e2(s) for s in QUAD[:3]]
+    pairs, contracted = [], []
+    kop_pair, contract = identities.kop_pair, identities._contract
+    monkeypatch.setattr(identities, "kop_pair", lambda *a: pairs.append(kop_pair(*a)) or pairs[-1])
+    monkeypatch.setattr(identities, "_contract", lambda *a: contracted.append(1) or contract(*a))
+    clear_matrix_cache()
+    try:
+        # a check whose halves are not kept keeps no value, not even in
+        # the pairs it was handed
+        verify_green(*specs, 0.4, mixed, mixed, RL, RECT, rule)
+        assert len(pairs) == 2 and not any(pair.values for pair in pairs)
+        assert _kept_values() == []
+        # a kernel without a key: its halves are never kept, nor are values
+        for _ in range(3):
+            verify_green(*specs, 0.4, mixed, mixed, _scaled_power_family(1.0), RECT, rule)
+        assert len(pairs) == 8 and not any(pair.values for pair in pairs)
+        assert _kept_values() == []
+        # f without a key: the second check keeps both halves, with the
+        # values of the 4 terms that do not read f, and every later check
+        # contracts the 4 terms that do again
+        keyless = dataclasses.replace(specs[0], expr=None)
+        assert keyless.cache_key is None
+        for _ in range(3):
+            contracted.clear()
+            verify_green(keyless, *specs[1:], 0.4, mixed, mixed, RL, RECT, rule)
+        assert _kept_values() == [(half, 4) for half in UNIT_HALVES]
+        assert len(contracted) == 4 * 2
+        assert all(None not in pair.values for pair in pairs)
+    finally:
+        clear_matrix_cache()
+
+
+def test_a_half_evicted_or_cleared_takes_its_values(monkeypatch):
+    # at 8x4 a half's pair is 34 x 32 doubles, 8.7 kB, and a Green check's
+    # moments take 34.8 kB.  Within 60 kB the halves of one order fit with
+    # the moments, those of a second order push the first ones out.
+    contracted = []
+    contract = identities._contract
+    monkeypatch.setattr(identities, "_contract", lambda *a: contracted.append(1) or contract(*a))
+    monkeypatch.setattr(opmatrix, "_CACHE_BYTES", 60_000)
+    rule = QuadratureRule(order_per_panel=8, panels=4)
+    mixed = ParameterSet(0.0, 1.0, 0.3, 0.7)
+    specs = [e2(s) for s in QUAD[:3]]
+
+    def contractions(alpha):
+        contracted.clear()
+        verify_green(*specs, alpha, mixed, mixed, RL, RECT, rule)
+        return len(contracted)
+
+    clear_matrix_cache()
+    try:
+        assert [contractions(0.4) for _ in range(3)] == [16, 16, 0]
+        assert _kept_values() == [(half, 8) for half in UNIT_HALVES]
+        assert [contractions(0.3) for _ in range(2)] == [16, 16]
+        assert opmatrix._CACHE.evictions == 2
+        assert _kept_values() == [(half, 8) for half in UNIT_HALVES]
+        kept = [key[2] for key in opmatrix._CACHE if key[0] == "kop"]
+        assert kept == [RL.instantiate(0.7).cache_key] * 2
+        # the evicted halves took their values: the first order contracts again
+        assert contractions(0.4) == 16
+        assert contractions(0.3) == 0
+        clear_matrix_cache()
+        assert _kept_values() == []
+        assert contractions(0.3) == 16
+    finally:
+        clear_matrix_cache()
 
 
 def test_the_record_of_keys_asked_once_stays_bounded():

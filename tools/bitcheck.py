@@ -17,10 +17,15 @@ the working tree's, each with ``OPENBLAS_NUM_THREADS=1``, dumps:
   kernels, rules, targets and operands, each made twice: the second
   call runs on the mesh the first one kept, so a kept mesh that a call
   changes, or that another interval shares, shows;
-- ``genfrac corpus --json`` at the default rule and at ``--panels 32``.
+- ``genfrac corpus --json`` at the default rule and at ``--panels 32``;
+- the ``corpus_json`` text of a third pass at the default rule, run in
+  the same process right after the first ``genfrac corpus``, so on the
+  caches that the two passes before it left: this compares the warm
+  path, where a check reads what earlier passes kept, not only the cold
+  one.
 
-Exits 0 if every array and both corpus files are byte-identical, else
-prints what differs and exits 1.  Nothing is left on disk.
+Exits 0 if every array and all three corpus files are byte-identical,
+else prints what differs and exits 1.  Nothing is left on disk.
 """
 
 from __future__ import annotations
@@ -43,6 +48,7 @@ from pathlib import Path
 import numpy as np
 
 from genfrac.cli import main
+from genfrac.corpus import corpus_json
 from genfrac.opmatrix import clear_matrix_cache, kop_end_rows, kop_matrix
 from genfrac.pset import ParameterSet
 from genfrac.quadrature import QuadratureRule, composite_nodes, convolve
@@ -105,7 +111,12 @@ for name, extra in (("corpus.json", []), ("corpus-32.json", ["--panels", "32"]))
     clear_matrix_cache()
     if main(["corpus", "--json", str(out / name), *extra]) != 0:
         sys.exit(f"genfrac corpus {extra} failed")
+    if not extra:
+        corpus_json()
+        (out / "corpus-warm.json").write_text(corpus_json())
 '''
+
+CORPUS_FILES = ("corpus.json", "corpus-warm.json", "corpus-32.json")
 
 
 def _dump(tree: Path, out: Path) -> None:
@@ -138,13 +149,13 @@ def main(argv: list[str]) -> int:
                 if x.dtype != y.dtype or x.shape != y.shape or x.tobytes() != y.tobytes():
                     bad.append(f"{key}: differs")
             count = len(old.files)
-        for name in ("corpus.json", "corpus-32.json"):
+        for name in CORPUS_FILES:
             if (tmp / "rev" / name).read_bytes() != (tmp / "work" / name).read_bytes():
                 bad.append(f"{name}: differs")
     for line in bad:
         print(line)
     verdict = f"{len(bad)} differ" if bad else "byte-identical"
-    print(f"{count} arrays and 2 corpus files against {rev}: {verdict}")
+    print(f"{count} arrays and {len(CORPUS_FILES)} corpus files against {rev}: {verdict}")
     return 1 if bad else 0
 
 
