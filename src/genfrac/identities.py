@@ -221,8 +221,14 @@ def _sides(pset: ParameterSet):
 
 
 def _contract(K: np.ndarray, S: np.ndarray) -> float:
-    """The Frobenius product <K, S>."""
-    return float(np.vdot(K, S))
+    """The Frobenius product <K, S>, summed in an order that no BLAS thread count changes.
+
+    ``np.vdot`` calls BLAS ddot, whose bits depend on the thread count
+    from about 10^4 elements.  Here ``einsum`` sums each column of the
+    products down the rows, and numpy's pairwise sum adds the columns:
+    both run in numpy's own loops, in a fixed order.
+    """
+    return float(np.einsum("ij,ij->j", K, S).sum())
 
 
 def _terms(kern, rect, rule, *specs) -> list[float]:

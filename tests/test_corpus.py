@@ -1,6 +1,9 @@
 """The corpus against the reference values the benchmark checks it with."""
 
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -8,7 +11,8 @@ from genfrac import identities, opmatrix
 from genfrac.corpus import corpus_json, run_corpus
 from genfrac.opmatrix import clear_matrix_cache
 
-REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "corpus_reference.json"
+ROOT = Path(__file__).resolve().parents[1]
+REFERENCE = ROOT / "perfbench" / "corpus_reference.json"
 RTOL = 1e-12
 
 
@@ -49,3 +53,30 @@ def test_a_warm_corpus_pass_builds_assembles_and_contracts_nothing(monkeypatch):
             assert calls == Counter()
     finally:
         clear_matrix_cache()
+
+
+# `genfrac corpus` and a Green check at 15 x 20 nodes, whose 300 x 300
+# contractions are where BLAS ddot's bits moved with the thread count
+PAYLOAD = """
+import sys
+from genfrac.cli import main
+out = sys.argv[1]
+assert main(["corpus", "--json", out + "/corpus.json"]) == 0
+assert main(["verify", "green", "--alpha", "0.4", "--psets", "mixed,left", "--rect", "0,1,0,2",
+             "--f", "exp(t1-t2)", "--g", "t2^2+1+t1", "--eta", "sin(t1)*t2+t1^2",
+             "--order", "15", "--panels", "20", "--json", out + "/green.json"]) == 0
+"""
+
+
+def test_the_payload_does_not_depend_on_the_blas_thread_count(tmp_path):
+    payloads = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        out.mkdir()
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-c", PAYLOAD, str(out)], env=env, capture_output=True, timeout=300
+        )
+        assert proc.returncode == 0, proc.stderr
+        payloads.append([(out / name).read_bytes() for name in ("corpus.json", "green.json")])
+    assert payloads[0] == payloads[1]
