@@ -59,15 +59,18 @@ def iter_corpus():
 def run_corpus(rule: QuadratureRule = DEFAULT_RULE) -> dict:
     """Run both identities over the whole corpus; deterministic order."""
     rect = CORPUS_RECT
-    # One spec per distinct expression, shared by every entry that uses it.
+    # One spec per distinct expression, p-set spec and kernel label,
+    # shared by every entry that uses it.
     texts = dict.fromkeys(text for fns in CORPUS_FUNCTIONS for text in fns.values())
     specs = {text: parse_expression(text, arity=2) for text in texts}
+    psets = {pspec: [p for axis in (rect.axis1, rect.axis2) for p in parse_psets(pspec, axis)]
+             for pspec in CORPUS_PSETS}
+    kernels = {kspec: kernel_family_from_label(kspec) for kspec in CORPUS_KERNELS}
     entries = []
     for fns, alpha, pspec, kspec in iter_corpus():
         f, g, eta1, eta2 = (specs[fns[k]] for k in ("f", "g", "eta1", "eta2"))
-        (p1,) = parse_psets(pspec, rect.axis1)
-        (p2,) = parse_psets(pspec, rect.axis2)
-        kernel = kernel_family_from_label(kspec)
+        p1, p2 = psets[pspec]
+        kernel = kernels[kspec]
         ibp = verify_ibp_2d(f, g, eta1, eta2, alpha, p1, p2, kernel, rect, rule)
         green = verify_green(f, g, eta1, alpha, p1, p2, kernel, rect, rule)
         entries.append(
