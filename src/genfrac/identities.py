@@ -31,15 +31,24 @@ K_{P*} = q L + p R, so a term is p <L, S> + q <R, S> (a zero weight
 skips its half) and P, P* and every other p-set on the interval share
 both halves.  R comes from its own convolution rows, never from L's
 transpose, which would make the integration-by-parts residual vanish by
-construction.  A check builds its moment matrices, then fetches each
-half it needs once, as the pair (mesh rows, end rows), which assembles
-it on the calling thread on a cache miss, and contracts.  The cache
-keeps a pair once a second check asks for it.  Moments are cached
+construction.  A check first reads the unweighted values <L, S> and
+<R, S> that earlier checks kept with each half's cached pair (mesh rows,
+end rows), under a key of the term (ends, axis, the specs' ``cache_key``
+and derivative, the rectangle; the pair's own key holds the kernel and
+the rule).  If every value is there, it builds, fetches, assembles and
+contracts nothing.  Otherwise it builds the moments of the terms that
+lack a value, then fetches each half it still needs once, which
+assembles it on the calling thread on a cache miss, and contracts, in a
+fixed order that does not depend on the BLAS thread count.  The cache
+keeps a pair once a second check asks for it, and keeps values only
+with a kept pair, so a sweep over fresh orders keeps none, and they go
+when their pair is evicted or the cache is cleared.  Moments are cached
 beside the matrices, on their first request, keyed on the specs'
 ``cache_key`` (their expression trees) and the mesh (rectangle and
 rule), so a function quadruple checked against many orders, p-sets and
 kernels builds them once.  The grids they are built from are sampled
-again for each new moment and not kept.  A spec without an expression is never cached.
+again for each new moment and not kept.  A spec without an expression
+is never cached, and neither is a value of its terms.
 The A-fields use the tested splitting
 A_P v = B_P v + p v(a) k(t-a) - q v(b) k(b-t) (differentiating
 numerically would lose the (t-a)**(-alpha) edge blow-up), and with

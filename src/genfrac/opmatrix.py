@@ -33,6 +33,18 @@ Arrays, kept or not, are read-only, so a caller cannot corrupt a later
 check by writing into one.  Each cache counts its hits, misses,
 evictions and refusals (values built but not kept).
 
+A kept pair also carries the contraction values <rows or end rows, S>
+that the identity checks computed with it, each under the key the check
+gives its term (:func:`remember`), so that a repeated check reads them
+(:func:`recall`) and neither builds its moments nor contracts.  Reading
+them peeks at the pair without fetching it: it counts no hit or miss
+and builds nothing, but makes the pair the most recently used.  Only a
+kept pair keeps values, so a pair asked for once, or one of a kernel
+without a key, keeps none.  Each value adds ``_VALUE_BYTES`` to its
+pair's bytes, so the one budget bounds them too, and they go with their
+pair when it is evicted or the cache is cleared.  The shared cache
+counts the values it found and those it did not.
+
 What an assembly needs of its mesh whatever the kernel is kept apart,
 per (p-set, rule), in a cache of its own (``_TABLES``), so that it never
 evicts a matrix or a moment; it is bounded by its bytes too
@@ -112,6 +124,11 @@ __all__ = ["kop_matrix", "kop_end_rows", "clear_matrix_cache"]
 # every check, so an unbounded cache only grows.
 _CACHE_BYTES = 128 * 2**20
 
+# Bytes counted toward _CACHE_BYTES for each contraction value kept with
+# a pair: its key, the float and the dict's slot.  The corpus's 1,152
+# values held 310 kB, 269 bytes each.
+_VALUE_BYTES = 270
+
 # Total bytes the kernel-free mesh tables (_table) keep, one per (p-set,
 # rule).  A half's table takes 1.35, 2.52 and 3.81 MB at 128, 256 and 512
 # nodes (6.3 MB at 1024): 11, 21 and 33 KB of it the scatter rounds, 71,
@@ -160,11 +177,22 @@ class _Lru(OrderedDict):
             return value
         self[key] = (value, size)
         self.total += size
+        self._trim(budget)
+        return value
+
+    def grow(self, key, nbytes: int, budget: int) -> None:
+        """Count ``nbytes`` more for the value kept under ``key``, then trim to ``budget``."""
+        value, size = self[key]
+        self[key] = (value, size + nbytes)  # an existing key keeps its place
+        self.total += nbytes
+        self._trim(budget)
+
+    def _trim(self, budget: int) -> None:
+        """Evict the least recently used entries until the total is within ``budget``."""
         while self.total > budget:
             _, (_, old) = self.popitem(last=False)
             self.total -= old
             self.evictions += 1
-        return value
 
     def clear(self) -> None:
         super().clear()
@@ -467,13 +495,17 @@ def recall(kernel: Kernel, rule: QuadratureRule, wanted) -> list:
 
 
 def remember(pset: ParameterSet, kernel: Kernel, rule: QuadratureRule, key, value) -> None:
-    """Keep ``value`` under the moment's ``key`` with the half's pair, if the cache keeps that pair.
+    """Keep ``value`` under the term's ``key`` with the half's pair, if the cache keeps that pair.
 
-    A key of None, or a pair the cache does not keep, keeps nothing.
+    A key of None, or a pair the cache does not keep, keeps nothing.  A
+    kept value adds ``_VALUE_BYTES`` to its pair's bytes, so the one
+    budget bounds the values too.
     """
-    values = _kept_values(pset, kernel, rule)
-    if values is not None and key is not None:
-        values[key] = value
+    pair_key = _pair_key(pset, kernel, rule)
+    entry = None if pair_key is None or key is None else _CACHE.get(pair_key)
+    if entry is not None and key not in entry[0].values:
+        entry[0].values[key] = value
+        _CACHE.grow(pair_key, _VALUE_BYTES, _CACHE_BYTES)
 
 
 def kop_matrix(pset: ParameterSet, kernel: Kernel, rule: QuadratureRule) -> np.ndarray:

@@ -964,9 +964,10 @@ def test_no_value_is_kept_without_a_kept_half_and_keys(monkeypatch):
 
 
 def test_a_half_evicted_or_cleared_takes_its_values(monkeypatch):
-    # at 8x4 a half's pair is 34 x 32 doubles, 8.7 kB, and a Green check's
-    # moments take 34.8 kB.  Within 60 kB the halves of one order fit with
-    # the moments, those of a second order push the first ones out.
+    # at 8x4 a half's pair is 34 x 32 doubles, 8.7 kB, a Green check's
+    # moments take 34.8 kB and its 16 values 4.3 kB.  Within 60 kB the
+    # halves of one order fit with the moments, those of a second order
+    # push the first ones out.
     contracted = []
     contract = identities._contract
     monkeypatch.setattr(identities, "_contract", lambda *a: contracted.append(1) or contract(*a))
@@ -984,6 +985,9 @@ def test_a_half_evicted_or_cleared_takes_its_values(monkeypatch):
     try:
         assert [contractions(0.4) for _ in range(3)] == [16, 16, 0]
         assert _kept_values() == [(half, 8) for half in UNIT_HALVES]
+        # the values count toward the budget, beside the moments and pairs
+        moments, pairs = 8 * (4 * 32 * 32 + 4 * 2 * 32), 2 * 8 * 34 * 32
+        assert opmatrix._CACHE.total == moments + pairs + 16 * opmatrix._VALUE_BYTES
         assert [contractions(0.3) for _ in range(2)] == [16, 16]
         assert opmatrix._CACHE.evictions == 2
         assert _kept_values() == [(half, 8) for half in UNIT_HALVES]
