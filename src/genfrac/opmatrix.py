@@ -431,7 +431,7 @@ def _asked_before(key) -> bool:
 
 
 class _Pair(tuple):
-    """A half's (mesh rows, end rows); ``values`` maps a moment's key to its contraction with them."""
+    """A half's (mesh rows, end rows); ``values`` maps a term's key to its contraction with them."""
 
     def __new__(cls, rows, ends):
         pair = super().__new__(cls, (rows, ends))
@@ -461,32 +461,25 @@ def kop_pair(pset: ParameterSet, kernel: Kernel, rule: QuadratureRule):
     return _CACHE.fetch(key, build, _CACHE_BYTES, _asked_before)
 
 
-def _kept_values(pset: ParameterSet, kernel: Kernel, rule: QuadratureRule):
-    """The values kept with the half's pair, or None if the cache keeps no pair for it.
-
-    A peek: it builds nothing and counts no hit or miss, but makes the
-    pair the most recently used, since a check reads it through them.
-    """
-    key = _pair_key(pset, kernel, rule)
-    entry = None if key is None else _CACHE.get(key)
-    if entry is None:
-        return None
-    _CACHE.move_to_end(key)
-    return entry[0].values
-
-
 def recall(kernel: Kernel, rule: QuadratureRule, wanted) -> list:
     """For each ``(half, key)`` of ``wanted``, the value kept with the half's pair under key.
 
     None stands for each value not kept, and for every key that is None.
-    Builds and fetches nothing; counts the values found and not found.
+    A peek at each kept pair: it builds and fetches nothing and counts no
+    hit or miss, but makes the pair the most recently used, since the
+    check reads it through its values.  Counts the values found and not
+    found.
     """
-    kept = {}
+    kept = {}  # each half -> the values kept with its pair
     found = []
     for half, key in wanted:
         values = kept.get(half)
         if values is None:
-            values = kept[half] = _kept_values(half, kernel, rule) or {}
+            pair_key = _pair_key(half, kernel, rule)
+            entry = None if pair_key is None else _CACHE.get(pair_key)
+            if entry is not None:
+                _CACHE.move_to_end(pair_key)
+            values = kept[half] = {} if entry is None else entry[0].values
         found.append(values.get(key))
     hits = len(found) - found.count(None)
     _CACHE.value_hits += hits
