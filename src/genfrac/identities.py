@@ -73,7 +73,7 @@ from functools import lru_cache
 import numpy as np
 
 from .funcspec import FuncSpec
-from .opmatrix import cached, kop_pair, recall, remember
+from .opmatrix import cached, kept_pair, kop_pair, recall, remember
 from .pset import ParameterSet, real, standard_left, standard_right
 from .quadrature import (
     DEFAULT_RULE,
@@ -249,34 +249,42 @@ def _terms(kern, rect, rule, *specs) -> list[float]:
     (each fetched at most once, so a half the cache does not keep is
     assembled once per check and counts as one request toward its
     admission) and the contractions, whose values are then kept with
-    their half if the cache keeps it.
+    their half if the cache keeps it.  A term with no weighted half has
+    no value, but its moment is still built: that samples its specs,
+    which must be finite.
     """
-    # a value's key among those of its half, whose pair's key holds the
-    # kernel and the rule; a spec without a cache_key has none
     corners = (rect.a1, rect.b1, rect.a2, rect.b2)
-    keys = [
-        None if u.cache_key is None or v.cache_key is None
-        else (ends, axis, u.cache_key, v.cache_key, deriv, corners)
-        for _, axis, u, v, deriv, ends in specs
+    kept = {}  # each half -> its pair if the shared cache keeps it, else None
+    rows = []  # each term's value key and (weight, half, kept value or None)s
+    for halves, axis, u, v, deriv, ends in specs:
+        # the pair's key holds the kernel and the rule; a spec without a
+        # cache_key gives its terms no key
+        key = None
+        if u.cache_key is not None and v.cache_key is not None:
+            key = (ends, axis, u.cache_key, v.cache_key, deriv, corners)
+        row = []
+        for weight, half in halves:
+            if weight != 0.0:
+                if half not in kept:
+                    kept[half] = kept_pair(half, kern, rule)
+                row.append((weight, half, recall(kept[half], key)))
+        rows.append((key, row))
+    moments = [
+        _moment(axis, u, v, rect, rule, deriv, ends)
+        if not row or any(value is None for *_, value in row)
+        else None
+        for (_, row), (_, axis, u, v, deriv, ends) in zip(rows, specs)
     ]
-    parts = [[(w, half) for w, half in halves if w != 0.0] for halves, *_ in specs]
-    found = iter(recall(kern, rule, [(half, key) for ps, key in zip(parts, keys) for _, half in ps]))
-    known = [[next(found) for _ in ps] for ps in parts]
-    moments = {
-        i: _moment(axis, u, v, rect, rule, deriv, ends)
-        for i, (row, (_, axis, u, v, deriv, ends)) in enumerate(zip(known, specs))
-        if None in row
-    }
     fetched = {}
     values = []
-    for i, (ps, row, (*_, ends)) in enumerate(zip(parts, known, specs)):
+    for (key, row), S, (*_, ends) in zip(rows, moments, specs):
         total = 0.0
-        for (weight, half), value in zip(ps, row):
+        for weight, half, value in row:
             if value is None:
                 if half not in fetched:
                     fetched[half] = kop_pair(half, kern, rule)
-                value = _contract(fetched[half][ends], moments[i])
-                remember(half, kern, rule, keys[i], value)
+                value = _contract(fetched[half][ends], S)
+                remember(fetched[half], key, value)
             total += weight * value
         values.append(total)
     return values

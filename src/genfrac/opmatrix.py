@@ -36,9 +36,10 @@ evictions and refusals (values built but not kept).
 A kept pair also carries the contraction values <rows or end rows, S>
 that the identity checks computed with it, each under the key the check
 gives its term (:func:`remember`), so that a repeated check reads them
-(:func:`recall`) and neither builds its moments nor contracts.  Reading
-them peeks at the pair without fetching it: it counts no hit or miss
-and builds nothing, but makes the pair the most recently used.  Only a
+(:func:`recall`) and neither builds its moments nor contracts.  A check
+finds the pair by a peek (:func:`kept_pair`), not a fetch: it counts no
+hit or miss and builds nothing, but makes the pair the most recently
+used.  Only a
 kept pair keeps values, so a pair asked for once, or one of a kernel
 without a key, keeps none.  Each value adds ``_VALUE_BYTES`` to its
 pair's bytes, so the one budget bounds them too, and they go with their
@@ -431,11 +432,14 @@ def _asked_before(key) -> bool:
 
 
 class _Pair(tuple):
-    """A half's (mesh rows, end rows); ``values`` maps a term's key to its contraction with them."""
+    """A half's (mesh rows, end rows) under its shared-cache ``key``.
 
-    def __new__(cls, rows, ends):
+    ``values`` maps a term's key to its contraction with the pair.
+    """
+
+    def __new__(cls, key, rows, ends):
         pair = super().__new__(cls, (rows, ends))
-        pair.values = {}
+        pair.key, pair.values = key, {}
         return pair
 
 
@@ -454,51 +458,54 @@ def kop_pair(pset: ParameterSet, kernel: Kernel, rule: QuadratureRule):
     for once, as a research sweep does, pushes out no moment.  A kernel
     without a key is assembled on every call.
     """
-    build = lambda: _Pair(*_assemble(pset, kernel, rule))
     key = _pair_key(pset, kernel, rule)
+    build = lambda: _Pair(key, *_assemble(pset, kernel, rule))
     if key is None:
         return cached(None, build)
     return _CACHE.fetch(key, build, _CACHE_BYTES, _asked_before)
 
 
-def recall(kernel: Kernel, rule: QuadratureRule, wanted) -> list:
-    """For each ``(half, key)`` of ``wanted``, the value kept with the half's pair under key.
+def kept_pair(pset: ParameterSet, kernel: Kernel, rule: QuadratureRule):
+    """The half's pair if the shared cache keeps it, else None.
 
-    None stands for each value not kept, and for every key that is None.
-    A peek at each kept pair: it builds and fetches nothing and counts no
-    hit or miss, but makes the pair the most recently used, since the
-    check reads it through its values.  Counts the values found and not
-    found.
+    A peek, not a fetch: it builds nothing and counts no hit or miss, but
+    makes the pair the most recently used, since a check reads it
+    through its values.
     """
-    kept = {}  # each half -> the values kept with its pair
-    found = []
-    for half, key in wanted:
-        values = kept.get(half)
-        if values is None:
-            pair_key = _pair_key(half, kernel, rule)
-            entry = None if pair_key is None else _CACHE.get(pair_key)
-            if entry is not None:
-                _CACHE.move_to_end(pair_key)
-            values = kept[half] = {} if entry is None else entry[0].values
-        found.append(values.get(key))
-    hits = len(found) - found.count(None)
-    _CACHE.value_hits += hits
-    _CACHE.value_misses += len(found) - hits
-    return found
+    key = _pair_key(pset, kernel, rule)
+    entry = _CACHE.get(key)  # a key of None is never kept
+    if entry is None:
+        return None
+    _CACHE.move_to_end(key)
+    return entry[0]
 
 
-def remember(pset: ParameterSet, kernel: Kernel, rule: QuadratureRule, key, value) -> None:
-    """Keep ``value`` under the term's ``key`` with the half's pair, if the cache keeps that pair.
+def recall(pair, key):
+    """The value kept with ``pair`` (or None) under a term's ``key``, else None.
 
-    A key of None, or a pair the cache does not keep, keeps nothing.  A
-    kept value adds ``_VALUE_BYTES`` to its pair's bytes, so the one
-    budget bounds the values too.
+    Counted as a value hit or a value miss.
     """
-    pair_key = _pair_key(pset, kernel, rule)
-    entry = None if pair_key is None or key is None else _CACHE.get(pair_key)
-    if entry is not None and key not in entry[0].values:
-        entry[0].values[key] = value
-        _CACHE.grow(pair_key, _VALUE_BYTES, _CACHE_BYTES)
+    value = None if pair is None or key is None else pair.values.get(key)
+    if value is None:
+        _CACHE.value_misses += 1
+    else:
+        _CACHE.value_hits += 1
+    return value
+
+
+def remember(pair, key, value) -> None:
+    """Keep ``value`` under a term's ``key`` with ``pair``, if the shared cache keeps the pair.
+
+    A key of None, or a pair the cache does not keep (or no longer does),
+    keeps nothing.  A kept value adds ``_VALUE_BYTES`` to its pair's
+    bytes, so the one budget bounds the values too.
+    """
+    if key is None or key in pair.values:
+        return
+    entry = _CACHE.get(pair.key)
+    if entry is not None and entry[0] is pair:
+        pair.values[key] = value
+        _CACHE.grow(pair.key, _VALUE_BYTES, _CACHE_BYTES)
 
 
 def kop_matrix(pset: ParameterSet, kernel: Kernel, rule: QuadratureRule) -> np.ndarray:

@@ -720,6 +720,28 @@ def test_a_zero_weight_skips_its_half(monkeypatch):
     assert fetched == [left, right]
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_term_without_weight_still_samples_its_specs():
+    # axis 2 on [0, 2] has no weight, so its terms have no value to read or
+    # keep, yet their moments are built, which samples eta2: a non-finite
+    # eta2 is refused, cold and after the other terms' values are kept
+    rule = QuadratureRule(order_per_panel=8, panels=4)
+    f, g, eta1, eta2 = (e2(s) for s in QUAD)
+    tall = Rectangle(0.0, 1.0, 0.0, 2.0)
+    empty = ParameterSet(0.0, 2.0, 0.0, 0.0)
+    clear_matrix_cache()
+    try:
+        with pytest.raises(NonFiniteSampleError):
+            verify_ibp_2d(f, g, eta1, e2("log(t2-5)"), 0.4, LEFT1, empty, RL, tall, rule)
+        for _ in range(3):
+            verify_ibp_2d(f, g, eta1, eta2, 0.4, LEFT1, empty, RL, tall, rule)
+        assert opmatrix._CACHE.value_hits > 0
+        with pytest.raises(NonFiniteSampleError):
+            verify_ibp_2d(f, g, eta1, e2("log(t2-5)"), 0.4, LEFT1, empty, RL, tall, rule)
+    finally:
+        clear_matrix_cache()
+
+
 @pytest.mark.parametrize("identity", ["ibp2d", "green"])
 def test_a_half_over_the_budget_is_assembled_once_per_fetch(monkeypatch, identity):
     # at 16x8 a half is 130 x 128 doubles, 133 kB: over a 100 kB budget it
