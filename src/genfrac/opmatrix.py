@@ -35,16 +35,15 @@ evictions and refusals (values built but not kept).
 
 A kept pair also carries the contraction values <rows or end rows, S>
 that the identity checks computed with it, each under the key the check
-gives its term (:func:`remember`), so that a repeated check reads them
-(:func:`recall`) and neither builds its moments nor contracts.  A check
-finds the pair by a peek (:func:`kept_pair`), not a fetch: it counts no
-hit or miss and builds nothing, but makes the pair the most recently
-used.  Only a
-kept pair keeps values, so a pair asked for once, or one of a kernel
-without a key, keeps none.  Each value adds ``_VALUE_BYTES`` to its
-pair's bytes, so the one budget bounds them too, and they go with their
-pair when it is evicted or the cache is cleared.  The shared cache
-counts the values it found and those it did not.
+gives its term (:func:`remember`), so that a later check with the same
+term reads them (:func:`recall`) and neither builds its moments nor
+contracts.  A check finds the pair by a peek (:func:`kept_pair`), not a
+fetch: it counts no hit or miss and builds nothing, but makes the pair
+the most recently used.  Only a kept pair keeps values, so a pair asked
+for once, or one of a kernel without a key, keeps none.  Each value adds
+``_VALUE_BYTES`` to its pair's bytes, so the one budget bounds them too,
+and they go with their pair when it is evicted or the cache is cleared.
+The shared cache counts the values it found and those it did not.
 
 What an assembly needs of its mesh whatever the kernel is kept apart,
 per (p-set, rule), in a cache of its own (``_TABLES``), so that it never
