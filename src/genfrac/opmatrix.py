@@ -57,14 +57,15 @@ far interpolation matrix, the interpolation terms of the walk's
 Gauss-Legendre near pieces (on the panels next to a target, and toward
 a) with their sums, pieces last, as (points, nodes, pieces) and (points,
 pieces), and the scatter rounds of every piece.  The walk alone says
-where a piece's points lie, and places the Gauss-Legendre ones once for
+where a piece's points lie; it places the Gauss-Legendre ones and forms
+their distances, and the far points' distances and weights, once for
 every kernel.  The Gauss-Jacobi piece of each target has nodes that
 move with the kernel's singularity exponent sigma, so a new kernel or
 order on a mesh pays for :func:`~genfrac.quadrature.convolution_rows`
-(the Gauss-Jacobi points, and the weights of every point), the
-Gauss-Jacobi terms, one multiply and sum per near piece, and the far
-products.  The table refuses a mesh whose nodes round to equal values,
-which have no barycentric weight.
+(the Gauss-Jacobi points, and the kernel's values at every distance),
+the Gauss-Jacobi terms, one einsum over the points for each kind of near
+piece, and the far products.  The table refuses a mesh whose nodes round
+to equal values, which have no barycentric weight.
 
 Assembly runs on the calling thread.  The convolution rule of
 :func:`genfrac.quadrature.convolution_walk` splits at the mesh's own
@@ -130,13 +131,14 @@ _CACHE_BYTES = 128 * 2**20
 _VALUE_BYTES = 270
 
 # Total bytes the kernel-free mesh tables (_table) keep, one per (p-set,
-# rule).  A half's table takes 1.35, 2.52 and 3.81 MB at 128, 256 and 512
-# nodes (6.3 MB at 1024): 11, 21 and 33 KB of it the scatter rounds, 71,
-# 132 and 198 KB the walk's Gauss-Legendre offsets.  A convergence study
-# on a rectangle uses two halves per axis interval at each level: the 12
-# halves of 128, 256 and 512 nodes on a non-square rectangle take 30.7 MB
-# (29.3 MiB).
-_TABLE_BYTES = 32 * 2**20
+# rule).  A half's table takes 1.48, 2.91 and 5.26 MB at 128, 256 and 512
+# nodes (11.9 MB at 1024): 11, 21 and 33 KB of it the scatter rounds, 71,
+# 132 and 198 KB the walk's Gauss-Legendre offsets and as much their
+# distances, 0.05, 0.26 and 1.24 MB its far distances and weights.  A
+# convergence study on a rectangle uses two halves per axis interval at
+# each level: the 12 halves of 128, 256 and 512 nodes on a non-square
+# rectangle take 38.6 MB (36.8 MiB).
+_TABLE_BYTES = 48 * 2**20
 
 # Pieces whose interpolation terms are formed at once.  A 512-node half
 # has about 2,000 near pieces, and their terms and node differences took
@@ -287,11 +289,8 @@ def _piece_rows(terms, total, w, rows) -> None:
     nodes, pieces) temporary.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
-        c = w / total
-        np.multiply(terms[0], c[0], out=rows)
-        step = np.empty_like(rows)
-        for i in range(1, c.shape[0]):
-            rows += np.multiply(terms[i], c[i], out=step)
+        # no optimize=: it may route the product through BLAS, whose sums vary with its threads
+        np.einsum("ink,ik->nk", terms, w / total, out=rows)
 
 
 def _differences(ends, offsets, nodes, exp) -> np.ndarray:
@@ -396,7 +395,7 @@ def _assemble(pset: ParameterSet, kernel: Kernel, rule: QuadratureRule):
     # product per group of targets that share their far panels, written
     # in place, since a group's rows are a run and no other group or
     # piece adds to its slots first
-    for (side, rows, pans, _), fw in zip(walk.far, far_w):
+    for (side, rows, pans, *_), fw in zip(walk.far, far_w):
         block = out[rows[0] : rows[-1] + 1, pans].transpose(1, 0, 2)
         np.matmul(fw.transpose(1, 0, 2), table.far[side][pans], out=block)
     # the near points one row per piece, pieces last.  The Gauss-Jacobi

@@ -17,10 +17,10 @@ holds what depends on neither targets nor kernel: the composite nodes
 and weights, the edges, the far panels of each panel, the far points and
 their weights.
 :func:`convolution_walk` lays out the pieces near each target on a mesh;
-its :class:`Walk` is the one description of them and places their
-Gauss-Legendre points.  :func:`convolution_rows` adds what depends on
-the kernel: the Gauss-Jacobi points next to each target and the weights
-of every point.
+its :class:`Walk` is the one description of them, places their
+Gauss-Legendre points and forms every distance that the kernel does not
+move.  :func:`convolution_rows` adds what depends on the kernel: the
+Gauss-Jacobi points next to each target and the kernel's values.
 
 All rules use open (Gauss) nodes, so integrands are never sampled at
 panel edges, interval endpoints, or the rectangle boundary.  Every
@@ -247,22 +247,20 @@ def singular_nodes(kernel: Kernel, walk: Walk):
 
     The first ``walk.jacobi`` pieces start at their target, and their
     Gauss-Jacobi weights absorb the kernel's power exactly; the others
-    take Gauss-Legendre at the offsets ``walk.legendre``.  Returns
-    ``(o, w)``, each (pieces, n): offsets o from the pieces' ends and
-    weights w with ``sum(w * phi(o)) ~ int kernel(|gaps + o|) phi(o) do``
-    over each piece.
+    take Gauss-Legendre at the offsets ``walk.legendre``, whose distances
+    the walk keeps.  Returns ``(o, w)``: the Gauss-Jacobi offsets o from
+    the pieces' ends, (jacobi, n), and every piece's weights w, (pieces,
+    n), with ``sum(w * phi(o)) ~ int kernel(|gap + o|) phi(o) do``.
     """
     j, n = walk.jacobi, walk.legendre.shape[1]
     sigma = kernel.singularity_exponent
     xj, wj = _jacobi_left(n, sigma)
-    half = walk.half[:, None]
-    o = np.concatenate([half[:j] * (1.0 + xj), walk.legendre])
-    # gaps, offsets and half widths are signed; |.| gives lengths exactly
-    half = np.abs(half)
-    u = np.abs(o + walk.gaps[:, None])
-    w = half * kernel.evaluate(u)
+    o = walk.half[:j, None] * (1.0 + xj)
+    # half widths and offsets are signed, and gap 0 here; |.| gives lengths exactly
+    half, u = np.abs(walk.half[:, None]), np.abs(o)
+    w = half * kernel.evaluate(np.concatenate([u, walk.distances]))
     # the Jacobi weight is (u / half)**-sigma; k u**sigma stays smooth
-    w[:j] *= wj * (u[:j] / half[:j]) ** sigma
+    w[:j] *= wj * (u / half[:j]) ** sigma
     w[j:] *= _leggauss(n)[1]
     return o, w
 
@@ -329,12 +327,12 @@ class Walk(NamedTuple):
     """K_P at some targets before the kernel, as :func:`convolution_walk` lays it out.
 
     The points near a target come in pieces of ``order_per_panel``
-    points, one entry per piece in each of the first six fields.  Piece
+    points, one entry per piece in each of the first five fields.  Piece
     k lies in panel ``pans[k]`` and adds to the row of target ``rows[k]``
     with the weight p or q of its half (``weight[k]``).  Its points lie at
     ``ends[k] + o`` for the offsets ``o = lo + half[k] (1 + x)`` of a
-    rule's nodes x on [-1, 1], and its target at ``ends[k] - gaps[k]``, so
-    a point is ``|gaps + o|`` from it, never a difference of two rounded
+    rule's nodes x on [-1, 1], and its target at ``ends[k] - gap``, so a
+    point is ``|gap + o|`` from it, never a difference of two rounded
     points.  Gaps and half widths are negative on the leftward half,
     whose points lie below their targets.  The offsets are exact to
     rounding of their own size, so ``(ends - x) + o`` is the distance of a
@@ -343,31 +341,33 @@ class Walk(NamedTuple):
     start at their target, which is their end (gap and lo 0), and take
     Gauss-Jacobi, whose nodes move with the kernel (:func:`singular_nodes`);
     the others take Gauss-Legendre, whose offsets, whatever the kernel,
-    are ``legendre``, (pieces, order_per_panel).
+    are ``legendre``, (pieces, order_per_panel), at the distances
+    ``distances`` = ``|legendre + gap|`` from their targets.
 
-    The far panels come in groups ``(side, rows, pans, weight)``, side 0
+    The far panels come in groups ``(side, rows, pans, u, c)``, side 0
     for the leftward half and 1 for the rightward one: the targets
-    ``rows`` of ``targets`` share the far panels of the slice ``pans``,
-    whose points (``mesh.far[side]``) are the same for every target, and
-    ``weight`` is the half's p or q.
+    ``rows`` share the far panels of the slice ``pans``, whose points
+    (``mesh.far[side]``) are the same for every target.  A kernel's far
+    weights are ``c * kernel(u)``: u holds the distances
+    ``|(t - end) - offset|``, (rows, panels, far_order), and c is
+    ``widths * (weight * far_weights)``, weight the half's p or q.
     """
 
     rows: np.ndarray
     pans: np.ndarray
     ends: np.ndarray
-    gaps: np.ndarray
     half: np.ndarray
     weight: np.ndarray
     jacobi: int
     legendre: np.ndarray
+    distances: np.ndarray
     far: list
-    targets: np.ndarray
     mesh: Mesh
 
 
-# A walk's piece: one field per column of Walk, and lo, which only places
-# the Gauss-Legendre points.
-_PIECE = np.dtype([("rows", np.intp), ("pans", np.intp), ("ends", float), ("gaps", float),
+# A walk's piece: one field per column of Walk, and gap and lo, which only
+# place the Gauss-Legendre points and their distances.
+_PIECE = np.dtype([("rows", np.intp), ("pans", np.intp), ("ends", float), ("gap", float),
                    ("lo", float), ("half", float), ("weight", float)])
 
 
@@ -420,7 +420,10 @@ def convolution_walk(pset: ParameterSet, targets: np.ndarray, mesh: Mesh) -> Wal
             m = mesh.counts[side][J]
             if m:  # the far panels in the mesh's own order
                 pans = slice(last + 1 - m, last + 1) if side else slice(0, m)
-                far.append((side, np.array(rs), pans, weight))
+                rows, (ends, offsets) = np.array(rs), mesh.far[side]
+                # |t - (end + offset)|, taken as (t - end) - offset
+                u = np.abs((targets[rows, None] - ends[pans])[:, :, None] - offsets[pans])
+                far.append((side, rows, pans, u, mesh.widths[pans] * (weight * mesh.far_weights)))
             pan, first = (last - J, last) if side else (J, 0)
             for r in rs:
                 x = ts[r]
@@ -455,7 +458,8 @@ def convolution_walk(pset: ParameterSet, targets: np.ndarray, mesh: Mesh) -> Wal
     pieces = np.array(jacobi + near, dtype=_PIECE)
     j, x = len(jacobi), _leggauss(mesh.rule.order_per_panel)[0]  # x: the nodes on [-1, 1]
     legendre = pieces["lo"][j:, None] + pieces["half"][j:, None] * (1.0 + x)
-    return Walk(*map(pieces.__getitem__, Walk._fields[:6]), j, legendre, far, targets, mesh)
+    distances = np.abs(legendre + pieces["gap"][j:, None])
+    return Walk(*(pieces[f] for f in Walk._fields[:5]), j, legendre, distances, far, mesh)
 
 
 def convolution_rows(walk: Walk, kernel: Kernel):
@@ -464,17 +468,12 @@ def convolution_rows(walk: Walk, kernel: Kernel):
     ``offsets`` places the points of the Gauss-Jacobi pieces, ``w`` holds
     the weights of every near piece's points, and ``far`` those of each
     far group at its panels' far points, (rows, panels, far_order), in the
-    walk's order.  All weights hold p or q.  The far distances are formed
-    on each call and never kept: they are (targets, panels, far_order).
+    walk's order.  All weights hold p or q.  Every distance but those of
+    the Gauss-Jacobi points is the walk's: this step evaluates the kernel.
     """
-    mesh, far = walk.mesh, []
-    for side, rows, pans, weight in walk.far:
-        ends, offsets = mesh.far[side]
-        # |t - (end + offset)|, taken as (t - end) - offset
-        u = np.abs((walk.targets[rows, None] - ends[pans])[:, :, None] - offsets[pans])
-        far.append(mesh.widths[pans] * (weight * mesh.far_weights) * kernel.evaluate(u))
+    far = [c * kernel.evaluate(u) for *_, u, c in walk.far]
     o, w = singular_nodes(kernel, walk)
-    return o[: walk.jacobi], walk.weight[:, None] * w, far
+    return o, walk.weight[:, None] * w, far
 
 
 def convolve(f: Callable, pset: ParameterSet, kernel: Kernel, targets, rule, *, message, suffix=""):
@@ -490,14 +489,14 @@ def convolve(f: Callable, pset: ParameterSet, kernel: Kernel, targets, rule, *, 
     near = (walk.ends[:, None] + np.concatenate([jacobi, walk.legendre])).ravel()
     # a far group's points once for all its targets, every point in one sample
     far = []
-    for side, _, pans, _ in walk.far:
+    for side, _, pans, *_ in walk.far:
         ends, offsets = walk.mesh.far[side]
         far.append((ends[pans][:, None] + offsets[pans]).ravel())
     vals = sample(f, np.concatenate([near, *far]), message=message, suffix=suffix)
     rows = np.repeat(walk.rows, w.shape[1])
     out = np.bincount(rows, w.ravel() * vals[: near.size], minlength=targets.size)
     start = near.size
-    for (_, r, _, _), fw, tau in zip(walk.far, far_w, far):
+    for (_, r, *_), fw, tau in zip(walk.far, far_w, far):
         out[r] += fw.reshape(r.size, -1) @ vals[start : start + tau.size]
         start += tau.size
     return out

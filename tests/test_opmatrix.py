@@ -3,6 +3,7 @@ K_P as the weighted sum of its two unweighted halves, the halves against
 the Riemann-Liouville closed form on any scale, quadrature points that
 land exactly on a mesh node, and assembly on the calling thread."""
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -15,7 +16,7 @@ import pytest
 
 from genfrac import opmatrix, quadrature
 from genfrac.funcspec import parse_expression
-from genfrac.identities import verify_green
+from genfrac.identities import convergence_study, verify_green
 from genfrac.opmatrix import clear_matrix_cache, kop_end_rows, kop_matrix
 from genfrac.ops1d import OperatorRequest, kop
 from genfrac.pset import ParameterSet, standard_left, standard_right
@@ -233,12 +234,16 @@ def test_every_kernel_on_a_mesh_reuses_its_table(monkeypatch):
     # the walk of the kept mesh: a second kernel fetches no mesh, places
     # no Gauss-Legendre point (it asks _leggauss for singular_nodes'
     # weights alone), forms node differences for its Gauss-Jacobi pieces
-    # alone, and gets the halves a freshly emptied table gives.  On
-    # [-1, 2] Gauss-Legendre pieces that span a whole panel land on its
-    # nodes, so the table holds rows fixed up for a node hit; the other
-    # intervals are those of test_quadrature_points_on_a_mesh_node.
+    # alone, and gets the halves a freshly emptied table gives.  It forms
+    # no distance but the Gauss-Jacobi ones either: the kernel reads the
+    # walk's kept, read-only far distances themselves.  On [-1, 2]
+    # Gauss-Legendre pieces that span a whole panel land on its nodes, so
+    # the table holds rows fixed up for a node hit; the other intervals
+    # are those of test_quadrature_points_on_a_mesh_node.
     rule = QuadratureRule(RULE.order_per_panel, 32)
-    kernels = [rl_family().instantiate(0.3), tempered_family(1.5).instantiate(0.7)]
+    tempered, seen = tempered_family(1.5).instantiate(0.7), []
+    recorded = lambda u: seen.append(u) or tempered.evaluate(u)  # noqa: E731
+    kernels = [rl_family().instantiate(0.3), dataclasses.replace(tempered, evaluate=recorded)]
     walks, rows, gauss = [], [], []
     walk, differences = opmatrix.convolution_walk, opmatrix._differences
     leggauss = quadrature._leggauss
@@ -259,8 +264,17 @@ def test_every_kernel_on_a_mesh_reuses_its_table(monkeypatch):
             rows.clear()
             gauss.clear()
             meshes = Mesh.of.cache_info()
+            seen.clear()
             warm.append(_pair(P, kernels[1], rule))
             assert sum(rows) == table.walk.jacobi
+            kept = [a for *_, u, c in table.walk.far for a in (u, c)]
+            assert kept and not any(a.flags.writeable for a in [table.walk.distances, *kept])
+            # one call on the far distances of each group, one on the near ones
+            far = [u for u in seen if u.ndim == 3]
+            assert len(far) == len(table.walk.far) == len(seen) - 1
+            assert all(u is v for u, (*_, v, _) in zip(far, table.walk.far))
+            (near,) = [u for u in seen if u.ndim == 2]
+            np.testing.assert_array_equal(near[table.walk.jacobi :], table.walk.distances)
             assert gauss == [rule.order_per_panel] and Mesh.of.cache_info() == meshes
             assert len(walks) == 1 and list(opmatrix._TABLES) == [key]
             for k, pair in zip(kernels, warm):
@@ -304,6 +318,50 @@ def test_scatter_rounds_keep_the_walk_order(rule, interval):
             for s, k in rounds:
                 got[s] += vals[k]
             assert (got.tobytes() == want.tobytes()) == equal
+
+
+@pytest.mark.parametrize("strided", [False, True], ids=["contiguous", "strided"])
+def test_piece_rows_sum_each_piece_in_the_order_of_its_points(strided):
+    # _piece_rows gives the bits of (terms * c[:, None]).sum(axis=0), c =
+    # w / total, on terms of mixed magnitude and sign, with a point on a
+    # node (its terms 1 and 0, its total 1) and a point of weight 0, into
+    # contiguous rows and into a strided view, as _assemble passes; the
+    # points summed in reverse give other bits, so the order shows
+    rng = np.random.default_rng(28)
+    points, nodes, pieces = 16, 16, 300
+    terms = rng.standard_normal((points, nodes, pieces))
+    terms *= 10.0 ** rng.integers(-17, 17, terms.shape)
+    total = terms.sum(axis=1)
+    terms[3, :, 5], terms[3, 7, 5], total[3, 5] = 0.0, 1.0, 1.0
+    w = rng.uniform(-1.0, 1.0, (points, pieces))
+    w[0, 9] = 0.0
+    c = w / total
+    want = (terms * c[:, None]).sum(axis=0)
+    assert want.tobytes() != (terms[::-1] * c[::-1, None]).sum(axis=0).tobytes()
+    vals = np.full((nodes, pieces + 4), np.nan)
+    rows = vals[:, 2:-2] if strided else np.empty((nodes, pieces))
+    opmatrix._piece_rows(terms, total, w, rows)
+    assert rows.tobytes() == want.tobytes()
+    assert np.isnan(vals[:, :2]).all() and np.isnan(vals[:, -2:]).all()  # nothing else written
+
+
+def test_the_tables_of_a_study_on_a_non_square_rectangle_fit_their_bound():
+    # a convergence study at 128, 256 and 512 nodes on [0, 1] x [0, 2]
+    # uses the 12 tables of both halves of both axis intervals at 3
+    # levels; they fit _TABLE_BYTES together, so a second study with a
+    # fresh order builds none of them again
+    specs = [parse_expression(s, arity=2) for s in ("t1*t2", "t1+t2^2", "1+t1*t2")]
+    rules = [QuadratureRule(RULE.order_per_panel, n) for n in (8, 16, 32)]
+    clear_matrix_cache()
+    for alpha in (0.35, 0.65):
+        P = ParameterSet(0.0, 1.0, 0.3, 0.7)
+        inputs = dict(zip(("f", "g", "eta"), specs), alpha=alpha, p1=P,
+                      p2=ParameterSet(0.0, 2.0, 0.6, 0.4), kernel=rl_family(),
+                      rect=Rectangle(0.0, 1.0, 0.0, 2.0))
+        convergence_study("green", inputs, rules)
+        assert opmatrix._TABLES.misses == len(opmatrix._TABLES) == 12
+        assert opmatrix._TABLES.evictions == 0
+    clear_matrix_cache()
 
 
 def test_the_mesh_tables_stay_within_their_byte_bound(monkeypatch):
