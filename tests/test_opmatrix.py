@@ -352,13 +352,12 @@ def test_the_tables_of_a_study_on_a_non_square_rectangle_fit_their_bound():
     # fresh order builds none of them again
     specs = [parse_expression(s, arity=2) for s in ("t1*t2", "t1+t2^2", "1+t1*t2")]
     rules = [QuadratureRule(RULE.order_per_panel, n) for n in (8, 16, 32)]
+    inputs = dict(zip(("f", "g", "eta"), specs), p1=ParameterSet(0.0, 1.0, 0.3, 0.7),
+                  p2=ParameterSet(0.0, 2.0, 0.6, 0.4), kernel=rl_family(),
+                  rect=Rectangle(0.0, 1.0, 0.0, 2.0))
     clear_matrix_cache()
     for alpha in (0.35, 0.65):
-        P = ParameterSet(0.0, 1.0, 0.3, 0.7)
-        inputs = dict(zip(("f", "g", "eta"), specs), alpha=alpha, p1=P,
-                      p2=ParameterSet(0.0, 2.0, 0.6, 0.4), kernel=rl_family(),
-                      rect=Rectangle(0.0, 1.0, 0.0, 2.0))
-        convergence_study("green", inputs, rules)
+        convergence_study("green", {**inputs, "alpha": alpha}, rules)
         assert opmatrix._TABLES.misses == len(opmatrix._TABLES) == 12
         assert opmatrix._TABLES.evictions == 0
     clear_matrix_cache()

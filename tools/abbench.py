@@ -2,13 +2,13 @@
 
 Usage, from anywhere in a checkout::
 
-    python tools/abbench.py REV OUT [--change REV2] [--workloads W,...] [--pairs N] [--seed S]
+    python tools/abbench.py REV OUT [--change REV2] [--workloads W,...] [--seed S]
 
 The files of REV, and those of the working tree (``git stash create``,
 so tracked files with their uncommitted changes; ``git add`` a new file
 first) or of REV2, are exported with ``git archive`` into two temporary
 directories, the same way.  For each workload of ``BENCHMARK.json`` (or
-of ``--workloads``), ``--pairs`` pairs (default 10) of ``perfbench/run.py
+of ``--workloads``), ``PAIRS`` pairs of ``perfbench/run.py
 --workload W --seed N --seconds T --trace 0`` then run one at a time,
 one run per tree and seed, with T the file's ``run_seconds``.  Seeds
 count up from ``--seed`` (default 1) across pairs and workloads, and even
@@ -38,6 +38,7 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 SIDES = ("parent", "change")
+PAIRS = 10  # per workload: a gain needs 9 wins of 10
 
 
 def _export(rev: str, into: Path) -> str:
@@ -88,7 +89,6 @@ def main(argv: list[str]) -> int:
     parser.add_argument("out", type=Path)
     parser.add_argument("--change", help="a revision in place of the working tree")
     parser.add_argument("--workloads", help="comma-separated; default every one of BENCHMARK.json")
-    parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args(argv)
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
@@ -112,7 +112,7 @@ def main(argv: list[str]) -> int:
         seed = args.seed
         for name in names:
             runs, seeds, first = {s: [] for s in SIDES}, [], {}
-            for i in range(args.pairs):
+            for i in range(PAIRS):
                 order = SIDES if i % 2 == 0 else SIDES[::-1]
                 for side in order:
                     runs[side].append(_run(trees[side], name, seed, seconds))
@@ -128,7 +128,7 @@ def main(argv: list[str]) -> int:
                     "runs": runs,
                 }
                 out.write_text(json.dumps(result, indent=1) + "\n")
-                print(f"{name} pair {i + 1}/{args.pairs} (seed {seeds[-1]}) done", flush=True)
+                print(f"{name} pair {i + 1}/{PAIRS} (seed {seeds[-1]}) done", flush=True)
     return 0
 
 
